@@ -32,6 +32,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
 from .errors import CompressorFailure
@@ -92,6 +93,7 @@ class Compressor:
     def __init__(self, name: str, length_fn: Callable[[bytes], int]):
         self.name = name
         self._length_fn = length_fn
+        self.baseline_bytes = self.length_bytes(b"")  # empty-input overhead, once per compressor
 
     def length_bytes(self, data: bytes) -> int:
         try:
@@ -130,6 +132,7 @@ BUILTIN_COMPRESSORS: dict[str, Callable[[], Compressor]] = {
 }
 
 
+@cache
 def get_compressor(name: str) -> Compressor:
     try:
         factory = BUILTIN_COMPRESSORS[name]
@@ -160,7 +163,7 @@ class ComplexityEstimate:
 
 def complexity_from_bytes(f_bytes: bytes, w_bytes: bytes, compressor: Compressor) -> ComplexityEstimate:
     """Complexity estimate for two pre-serialized descriptions."""
-    baseline = compressor.length_bytes(b"")
+    baseline = compressor.baseline_bytes
     k_f = 8.0 * max(0, compressor.length_bytes(f_bytes) - baseline)
     k_w = 8.0 * max(0, compressor.length_bytes(w_bytes) - baseline)
     joint = compressor.length_bytes(f_bytes + JOINT_SEPARATOR + w_bytes)
@@ -229,7 +232,7 @@ def concept_redundancy(concept: Concept, compressor: Compressor) -> float:
     a diagnostic for how much structure the properties share under the
     chosen compressor.
     """
-    baseline = compressor.length_bytes(b"")
+    baseline = compressor.baseline_bytes
     whole = 8.0 * max(0, compressor.length_bytes(canonical_serialize(concept)) - baseline)
     parts = 0.0
     for pid, degree in concept.properties:

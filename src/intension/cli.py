@@ -14,10 +14,10 @@ concept (report still printed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .algorithmic import BUILTIN_COMPRESSORS, algorithmic_inheritance, get_compressor
 from .closed_forms import (
@@ -52,7 +52,7 @@ def format_number(x: float) -> str:
     return format(float(x), f".{SIGNIFICANT_DIGITS}g")
 
 
-def _text_value(v) -> str:
+def _value(v, as_json: bool) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -60,36 +60,25 @@ def _text_value(v) -> str:
     if isinstance(v, float):
         return format_number(v)
     if isinstance(v, (list, tuple)):
-        return ",".join(_text_value(x) for x in v)
-    return str(v)
-
-
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format_number(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    return json.dumps(v)
+        items = [_value(x, as_json) for x in v]
+        return "[" + ", ".join(items) + "]" if as_json else ",".join(items)
+    return json.dumps(v) if as_json else str(v)
 
 
 def render_flat_json(fields: dict) -> str:
     """Single flat JSON object; stable under a parse/re-render round trip."""
-    return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in fields.items()) + "}"
+    return "{" + ", ".join(f"{json.dumps(k)}: {_value(v, True)}" for k, v in fields.items()) + "}"
 
 
 def render_text(fields: dict, sep: str = "\n") -> str:
-    return sep.join(f"{k}={_text_value(v)}" for k, v in fields.items())
+    return sep.join(f"{k}={_value(v, False)}" for k, v in fields.items())
 
 
 def _render(fields: dict, fmt: str, text_sep: str = "\n") -> str:
     return render_flat_json(fields) if fmt == "json" else render_text(fields, text_sep)
 
 
-@dataclass
+@dataclasses.dataclass
 class InheritanceReport:
     """Everything the score subcommand prints, before formatting."""
 
@@ -101,18 +90,6 @@ class InheritanceReport:
     mutual_information_shannon: float
     mutual_information_algorithmic: float | str
     warnings: list[str]
-
-    def to_fields(self) -> dict:
-        return {
-            "from_concept": self.from_concept,
-            "to_concept": self.to_concept,
-            "exact_conditional": self.exact_conditional,
-            "shannon_estimate": self.shannon_estimate,
-            "algorithmic_estimate": self.algorithmic_estimate,
-            "mutual_information_shannon": self.mutual_information_shannon,
-            "mutual_information_algorithmic": self.mutual_information_algorithmic,
-            "warnings": self.warnings,
-        }
 
 
 def build_score_report(
@@ -180,7 +157,7 @@ def _cmd_score(args) -> tuple[int, str]:
         algorithmic=args.algorithmic,
         compressor_name=args.compressor,
     )
-    return code, _render(report.to_fields(), args.format)
+    return code, _render(dataclasses.asdict(report), args.format)
 
 
 def _cmd_exclusive(args) -> tuple[int, str]:

@@ -16,7 +16,7 @@ are ignored and `#` starts a comment line.
 from __future__ import annotations
 
 import os
-from .errors import EmptyTable, IntensionError, ParseError
+from .errors import IntensionError, ParseError
 from .model import (
     Concept,
     InstanceTable,
@@ -162,11 +162,7 @@ def _parse_instances(body: list[tuple[int, str]], source: str, header_line: int)
         raise ParseError(source, header_line, "instances world needs at least one row")
     index = {pid: i for i, pid in enumerate(universe)}
     masked = tuple((sum(1 << index[pid] for pid in ids), weight) for ids, weight in rows)
-    try:
-        table = InstanceTable(tuple(universe), masked)
-        return world_from_instances(table)
-    except (EmptyTable, IntensionError, ValueError) as exc:
-        raise ParseError(source, header_line, str(exc)) from exc
+    return _wrap(source, header_line, lambda: world_from_instances(InstanceTable(tuple(universe), masked)))
 
 
 def _wrap(source: str, lineno: int, fn, *args):

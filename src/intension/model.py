@@ -7,20 +7,26 @@ of the universe holds). Every probabilistic quantity in the library is
 computed from such a table by exact enumeration, which is why the universe
 is capped at 24 variables.
 
+Every query reads the table in one pass of `marginalize`, a fold over
+views, and no mask or index array is kept next to it. A concept pair needs
+one pass in all: every pair quantity is read off `pair_marginal`'s table.
+
 A concept's event is the union (disjunction) of its property events: "x is
 the concept" means x holds at least one of the concept's properties. This
 is what makes the one-hot construction below come out to the familiar
 count ratios, and it is the only event semantics this package supports.
-Declared degrees are read as marginal probabilities; the world model is
-ground truth, and a disagreement beyond 1e-6 triggers DegreeMismatchWarning
-rather than an error.
+Event probabilities are sums of nonnegative cells, never 1 - P(none), so
+a tiny P(F) keeps its digits. Declared degrees are read as marginal
+probabilities; the world model is ground truth, and a disagreement beyond
+1e-6 triggers DegreeMismatchWarning rather than an error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +56,16 @@ def check_property_id(pid: str) -> str:
     if any(c.isspace() for c in pid):
         raise InvalidProperty(f"property id may not contain whitespace: {pid!r}")
     return pid
+
+
+def check_universe(universe: Iterable[str]) -> tuple[str, ...]:
+    """Validate a universe before any table is sized by it: distinct ids, at most MAX_UNIVERSE."""
+    universe = tuple(check_property_id(p) for p in universe)
+    if len(set(universe)) != len(universe):
+        raise InvalidProperty(f"universe has duplicate ids: {universe}")
+    if len(universe) > MAX_UNIVERSE:
+        raise UniverseTooLarge(f"universe has {len(universe)} properties, cap is {MAX_UNIVERSE}")
+    return universe
 
 
 def check_degree(d: float, what: str = "degree") -> float:
@@ -107,20 +123,20 @@ class WorldModel:
 
     @classmethod
     def from_weights(cls, universe: Sequence[str], weights: Sequence[float] | np.ndarray) -> "WorldModel":
-        universe = tuple(check_property_id(p) for p in universe)
-        if len(set(universe)) != len(universe):
-            raise InvalidProperty(f"universe has duplicate ids: {universe}")
+        universe = check_universe(universe)
         s = len(universe)
-        if s > MAX_UNIVERSE:
-            raise UniverseTooLarge(f"universe has {s} properties, cap is {MAX_UNIVERSE}")
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (1 << s,):
             raise ValueError(f"expected {1 << s} weights for {s} properties, got {w.shape}")
-        if not np.all(np.isfinite(w)):
+        lo, hi = float(w.min()), float(w.max())  # reductions, so no mask the size of the table
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights must be finite")
-        if np.any(w < 0):
+        if lo < 0:
             raise ValueError("weights must be nonnegative")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if not math.isfinite(total):
+            raise ValueError("total weight overflows a double")
         if total <= 0.0:
             raise EmptyTable("total weight must be positive")
         probs = w / total
@@ -129,18 +145,9 @@ class WorldModel:
         assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
         return world
 
-    @property
-    def size(self) -> int:
-        return len(self.universe)
-
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.universe)}
-
-    @cached_property
-    def _masks(self) -> np.ndarray:
-        # enumeration of all assignments; uint32 is enough for s <= 24
-        return np.arange(1 << self.size, dtype=np.uint32)
 
     def bit(self, pid: str) -> int:
         """Universe position of a property id."""
@@ -149,39 +156,55 @@ class WorldModel:
         except KeyError:
             raise UnknownProperty(f"property {pid!r} is not in the universe") from None
 
-    def event_mask(self, ids: Iterable[str]) -> int:
-        """Bitmask with the bit of every given property set."""
-        mask = 0
-        for pid in ids:
-            mask |= 1 << self.bit(pid)
-        return mask
-
     def marginal(self, pid: str) -> float:
         """P(property holds)."""
-        bit = self.bit(pid)
         # min() guards against float accumulation drifting a hair past 1
-        return min(1.0, float(self.probs[(self._masks >> bit) & 1 == 1].sum()))
+        return min(1.0, float(marginalize(self.probs, {self.bit(pid)})[1]))
 
-    def union_probability(self, mask: int) -> float:
-        """P(at least one property in mask holds)."""
-        if mask == 0:
-            return 0.0
-        return min(1.0, float(self.probs[(self._masks & mask) != 0].sum()))
+    def union_probability(self, ids: Iterable[str]) -> float:
+        """P(at least one of the given properties holds); 0 for no properties."""
+        kept = marginalize(self.probs, {self.bit(p) for p in ids})
+        return min(1.0, float(kept[1:].sum()))
 
     def marginal_table(self, ids: Sequence[str]) -> np.ndarray:
         """Joint marginal over the given variables, in the order given.
 
         Returns a table of 2**len(ids) probabilities; bit j of the index
-        corresponds to ids[j]. Buckets are filled in one deterministic
-        pass over the full table.
+        corresponds to ids[j]. One fold pass over the full table, then a
+        transpose of the small kept table; the result may be a read-only view.
         """
         positions = [self.bit(p) for p in ids]
         if len(set(positions)) != len(positions):
             raise ValueError(f"duplicate ids in marginal request: {tuple(ids)}")
-        key = np.zeros(len(self.probs), dtype=np.int64)
-        for j, pos in enumerate(positions):
-            key |= ((self._masks >> pos) & 1).astype(np.int64) << j
-        return np.bincount(key, weights=self.probs, minlength=1 << len(positions))
+        kept = marginalize(self.probs, set(positions))
+        # kept bit k is the k-th lowest position; C-order axis a is bit n-1-a
+        n = len(positions)
+        rank = {pos: k for k, pos in enumerate(sorted(positions))}
+        axes = [n - 1 - rank[pos] for pos in reversed(positions)]
+        return kept.reshape((2,) * n).transpose(axes).reshape(-1)
+
+
+def marginalize(table: np.ndarray, keep: Collection[int]) -> np.ndarray:
+    """Marginal of a 2**n table onto the bits in keep, kept in ascending order.
+
+    Walks the bits from high to low and adds the two halves of each bit not
+    kept: every step reads a view and writes a table half the size.
+    """
+    for bit in reversed(range(table.size.bit_length() - 1)):
+        if bit not in keep:
+            halves = table.reshape(-1, 2, 1 << bit)
+            table = halves[:, 0] + halves[:, 1]
+    return table.reshape(-1)
+
+
+def bit_marginals(table: np.ndarray) -> list[float]:
+    """P(bit j is set) for every bit j of a 2**n table, in one fold pass."""
+    out = []
+    for bit in reversed(range(table.size.bit_length() - 1)):
+        halves = table.reshape(2, 1 << bit)
+        out.append(min(1.0, float(halves[1].sum())))
+        table = halves[0] + halves[1]
+    return out[::-1]
 
 
 @dataclass(frozen=True)
@@ -192,9 +215,7 @@ class InstanceTable:
     rows: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        universe = tuple(check_property_id(p) for p in self.universe)
-        if len(set(universe)) != len(universe):
-            raise InvalidProperty(f"universe has duplicate ids: {universe}")
+        universe = check_universe(self.universe)
         object.__setattr__(self, "universe", universe)
         top = 1 << len(universe)
         for mask, weight in self.rows:
@@ -208,11 +229,9 @@ class InstanceTable:
 
 def build_independent_world(universe: Sequence[str], marginals: Sequence[float]) -> WorldModel:
     """Product distribution with the given per-property marginals."""
-    universe = tuple(universe)
+    universe = check_universe(universe)
     if len(universe) != len(marginals):
         raise ValueError(f"{len(universe)} ids but {len(marginals)} marginals")
-    if len(universe) > MAX_UNIVERSE:
-        raise UniverseTooLarge(f"universe has {len(universe)} properties, cap is {MAX_UNIVERSE}")
     probs = np.array([1.0])
     for mu in marginals:
         mu = check_degree(mu, "marginal")
@@ -255,26 +274,42 @@ def world_from_instances(table: InstanceTable) -> WorldModel:
 
 def concept_event_probability(concept: Concept, world: WorldModel) -> float:
     """P(concept event) = P(at least one of its properties holds)."""
-    return world.union_probability(world.event_mask(concept.ids))
+    return world.union_probability(concept.ids)
+
+
+def pair_marginal(f: Concept, w: Concept, world: WorldModel) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """One pass over the world for a concept pair: (ids, table, joint).
+
+    table is the world's marginal over the pooled properties, ordered
+    F-only, then shared, then W-only, with bit j for ids[j]. joint is the
+    four-cell joint of the two concept-event indicators, index 2*f + w.
+    """
+    f_ids, w_ids = set(f.ids), set(w.ids)
+    f_only = [p for p in f.ids if p not in w_ids]
+    w_only = [p for p in w.ids if p not in f_ids]
+    ids = tuple(f_only + [p for p in f.ids if p in w_ids] + w_only)
+    table = world.marginal_table(ids)
+    # axes (W-only, shared, F-only); index 0 of a group means none of it holds
+    cube = table.reshape(1 << len(w_only), -1, 1 << len(f_only))
+    none = cube[:, 0, :]  # no shared property holds
+    joint = np.array([none[0, 0], none[1:, 0].sum(), none[0, 1:].sum(), none[1:, 1:].sum() + cube[:, 1:].sum()])
+    return ids, table, joint
 
 
 def joint_event_probability(f: Concept, w: Concept, world: WorldModel) -> float:
     """P(both concept events hold)."""
-    f_mask = world.event_mask(f.ids)
-    w_mask = world.event_mask(w.ids)
-    masks = world._masks
-    hit = ((masks & f_mask) != 0) & ((masks & w_mask) != 0)
-    return min(1.0, float(world.probs[hit].sum()))
+    return min(1.0, float(pair_marginal(f, w, world)[2][3]))
 
 
 def degree_mismatches(concept: Concept, world: WorldModel, tol: float = DEGREE_MISMATCH_TOL) -> list[str]:
     """Human-readable descriptions of degree vs world-marginal disagreements."""
-    out = []
-    for pid, declared in concept.properties:
-        actual = world.marginal(pid)
-        if abs(actual - declared) > tol:
-            out.append(
-                f"degree-mismatch {pid}: concept {concept.name!r} declares "
-                f"{declared:.6g}, world marginal is {actual:.6g}"
-            )
-    return out
+    return describe_mismatches(concept, dict(zip(concept.ids, bit_marginals(world.marginal_table(concept.ids)))), tol)
+
+
+def describe_mismatches(concept: Concept, marginals: Mapping[str, float], tol: float = DEGREE_MISMATCH_TOL) -> list[str]:
+    """degree_mismatches, given the world marginal of every concept property."""
+    return [
+        f"degree-mismatch {pid}: concept {concept.name!r} declares {declared:.6g}, world marginal is {marginals[pid]:.6g}"
+        for pid, declared in concept.properties
+        if abs(marginals[pid] - declared) > tol
+    ]

@@ -22,14 +22,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConditioningOnNull, SubsetTooLarge
-from .model import (
+from .model import (  # noqa: F401 -- bench/spans.py traces degree_mismatches and joint_event_probability here
     Concept,
     DegreeMismatchWarning,
     WorldModel,
+    bit_marginals,
     check_degree,
-    concept_event_probability,
     degree_mismatches,
+    describe_mismatches,
     joint_event_probability,
+    marginalize,
+    pair_marginal,
 )
 
 MAX_LATTICE_VARS = 12
@@ -57,37 +60,26 @@ def subset_entropy(vars: Sequence[str], world: WorldModel) -> float:
     return _table_entropy(world.marginal_table(ids))
 
 
-def _indicator_joint(f: Concept, w: Concept, world: WorldModel) -> np.ndarray:
-    """Four-cell joint of the two concept-event indicators: index = 2*f + w."""
-    f_mask = world.event_mask(f.ids)
-    w_mask = world.event_mask(w.ids)
-    masks = world._masks
-    in_f = (masks & f_mask) != 0
-    in_w = (masks & w_mask) != 0
-    p = world.probs
-    return np.array(
-        [
-            float(p[~in_f & ~in_w].sum()),
-            float(p[~in_f & in_w].sum()),
-            float(p[in_f & ~in_w].sum()),
-            float(p[in_f & in_w].sum()),
-        ]
-    )
-
-
-def concept_pair_entropies(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float]:
-    """(H(F), H(W), H(F,W)) of the two concept-event indicator variables."""
-    joint = _indicator_joint(f, w, world)
+def _pair_entropies(joint: np.ndarray) -> tuple[float, float, float]:
     # cell sums can drift a hair past 1 in float; clamp before validating
     h_f = binary_entropy(min(1.0, float(joint[2] + joint[3])))
     h_w = binary_entropy(min(1.0, float(joint[1] + joint[3])))
     return h_f, h_w, _table_entropy(joint)
 
 
+def _mutual_information(joint: np.ndarray) -> float:
+    h_f, h_w, h_fw = _pair_entropies(joint)
+    return h_f + h_w - h_fw
+
+
+def concept_pair_entropies(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float]:
+    """(H(F), H(W), H(F,W)) of the two concept-event indicator variables."""
+    return _pair_entropies(pair_marginal(f, w, world)[2])
+
+
 def mutual_information(f: Concept, w: Concept, world: WorldModel) -> float:
     """I(F;W) = H(F) + H(W) - H(F,W) of the concept indicators, in bits."""
-    h_f, h_w, h_fw = concept_pair_entropies(f, w, world)
-    return h_f + h_w - h_fw
+    return _mutual_information(pair_marginal(f, w, world)[2])
 
 
 @dataclass(frozen=True)
@@ -112,18 +104,13 @@ def interaction_information(vars: Iterable[str], world: WorldModel) -> Interacti
         raise ValueError(f"interaction needs at least two variables, got {t}")
     if t > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{t} variables exceeds the lattice cap of {MAX_LATTICE_VARS}")
-    # One marginalization onto the subset, then every H(T) from that table.
+    # One marginalization onto the subset, then every H(T) by folding that table.
     table = world.marginal_table(ids)
-    idx = np.arange(len(table), dtype=np.int64)
     value = 0.0
     for size in range(1, t + 1):
         sign = 1.0 if size % 2 == 1 else -1.0
         for positions in combinations(range(t), size):
-            key = np.zeros(len(table), dtype=np.int64)
-            for j, pos in enumerate(positions):
-                key |= ((idx >> pos) & 1) << j
-            bucket = np.bincount(key, weights=table, minlength=1 << size)
-            value += sign * _table_entropy(bucket)
+            value += sign * _table_entropy(marginalize(table, positions))
     return InteractionReport(subset=tuple(sorted(ids)), value=value)
 
 
@@ -138,10 +125,10 @@ def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> f
     pooled = list(dict.fromkeys(f.ids + w.ids))
     if len(pooled) > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{len(pooled)} pooled properties exceeds the cap of {MAX_LATTICE_VARS}")
-    per_property = sum(binary_entropy(world.marginal(pid)) for pid in f.ids)
-    per_property += sum(binary_entropy(world.marginal(pid)) for pid in w.ids)
-    h_all = subset_entropy(pooled, world)
-    return (per_property - h_all) - mutual_information(f, w, world)
+    ids, table, joint = pair_marginal(f, w, world)
+    marginals = dict(zip(ids, bit_marginals(table)))
+    per_property = sum(binary_entropy(marginals[pid]) for pid in f.ids + w.ids)
+    return (per_property - _table_entropy(table)) - _mutual_information(joint)
 
 
 @dataclass(frozen=True)
@@ -166,8 +153,8 @@ class ShannonInheritance:
 
 def uniform_conditional_estimate(f: Concept, w: Concept, world: WorldModel) -> float:
     """P(W) * 2**I(F;W), the uniformity-based conditional estimate."""
-    prior = concept_event_probability(w, world)
-    return prior * 2.0 ** mutual_information(f, w, world)
+    joint = pair_marginal(f, w, world)[2]
+    return min(1.0, float(joint[1] + joint[3])) * 2.0 ** _mutual_information(joint)
 
 
 def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInheritance:
@@ -175,16 +162,18 @@ def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInh
 
     Emits DegreeMismatchWarning for every declared degree that disagrees
     with the world marginal beyond 1e-6; the world always wins. Raises
-    ConditioningOnNull when P(f) = 0.
+    ConditioningOnNull when P(f) = 0. Makes one pass over the world.
     """
-    for message in degree_mismatches(f, world) + degree_mismatches(w, world):
+    ids, table, joint = pair_marginal(f, w, world)
+    marginals = dict(zip(ids, bit_marginals(table)))
+    for message in describe_mismatches(f, marginals) + describe_mismatches(w, marginals):
         warnings.warn(message, DegreeMismatchWarning, stacklevel=2)
-    p_f = concept_event_probability(f, world)
+    p_f = min(1.0, float(joint[2] + joint[3]))
     if p_f == 0.0:
         raise ConditioningOnNull(f"concept {f.name!r} has probability zero")
-    p_w = concept_event_probability(w, world)
-    p_fw = joint_event_probability(f, w, world)
-    mi = mutual_information(f, w, world)
+    p_w = min(1.0, float(joint[1] + joint[3]))
+    p_fw = min(1.0, float(joint[3]))
+    mi = _mutual_information(joint)
     exact = p_fw / p_f
     estimate = p_w * 2.0 ** mi
     return ShannonInheritance(

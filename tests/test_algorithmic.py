@@ -127,6 +127,27 @@ class TestCompressors:
             Compressor("bad", lambda data: -1).length_bytes(b"x")
 
 
+class TestEmptyInputBaseline:
+    def test_compressed_once_per_compressor(self):
+        seen = []
+        comp = Compressor("counting", lambda data: seen.append(data) or len(data))
+        f = random_concept(random.Random(4), "f", 5)
+        w = random_concept(random.Random(5), "w", 5, taken=f.ids)
+        first = algorithmic_inheritance(f, w, comp)
+        assert algorithmic_inheritance(f, w, comp) == first
+        concept_redundancy(f, comp)
+        assert seen.count(b"") == 1
+        assert len(seen) == 1 + 3 + 3 + 1 + len(f.properties)
+
+    def test_lengths_unchanged(self):
+        # frozen from the deflate compressor before the baseline was cached
+        f = random_concept(random.Random(6), "f", 12)
+        w = random_concept(random.Random(7), "w", 12, taken=f.ids)
+        for comp in (deflate_compressor(), get_compressor("deflate"), get_compressor("deflate")):
+            est = estimate_complexities(f, w, comp)
+            assert (est.k_f, est.k_w, est.k_joint, est.k_w_given_f, est.overhead) == (1168.0, 1168.0, 2304.0, 1136.0, 16.0)
+
+
 class TestEstimateComplexities:
     def test_identity_compressor_arithmetic(self):
         # identical single-property concepts: I = -(separator length) * 8

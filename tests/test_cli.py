@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,26 @@ class TestOtherCommands:
         code, _, err = invoke(capsys, ["interaction", "--world", str(bad), "--vars", "x,y"])
         assert code == 2
         assert ":2" in err  # line number in the diagnostic
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # 40 properties: refused before any 2**40 table is allocated
+            [",".join(f"g{i:02d}" for i in range(40)) + " 1", "- 1"],
+            # finite weights whose sum overflows
+            ["a 1e308", "b 1e308"],
+        ],
+        ids=["wide", "overflowing"],
+    )
+    def test_unusable_instances_world_exits_2(self, capsys, tmp_path, rows):
+        world = tmp_path / "world.txt"
+        world.write_text("instances\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            code, out, err = invoke(capsys, ["interaction", "--world", str(world), "--vars", "a,b"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_flags_never_exit_0(self, capsys):
         assert run(["exclusive", "--n", "four"]) != 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from intension.errors import (
 )
 from intension.model import (
     Concept,
+    DegreeMismatchWarning,
     InstanceTable,
     WorldModel,
     build_exclusive_world,
@@ -24,6 +27,7 @@ from intension.model import (
     joint_event_probability,
     world_from_instances,
 )
+from intension.shannon import shannon_inheritance
 
 TOL = 1e-12
 
@@ -156,6 +160,11 @@ class TestWorldFromInstances:
         with pytest.raises(EmptyTable):
             InstanceTable(("a",), ((1, 0.0),))
 
+    def test_cap_checked_before_table(self):
+        universe = tuple(f"g{i}" for i in range(40))
+        with pytest.raises(UniverseTooLarge):
+            InstanceTable(universe, (((1 << 40) - 1, 1.0), (0, 1.0)))
+
     def test_duplicate_masks_accumulate(self):
         table = InstanceTable(("a",), ((1, 1.0), (1, 1.0), (0, 2.0)))
         world = world_from_instances(table)
@@ -213,6 +222,11 @@ class TestWorldModel:
         with pytest.raises(UnknownProperty):
             world.marginal("zzz")
 
+    def test_overflowing_weight_sum(self):
+        # every weight is finite, but their sum is not
+        with pytest.raises(ValueError):
+            WorldModel.from_weights(("a", "b"), [0.0, 1e308, 1e308, 0.0])
+
     def test_marginal_table_rejects_duplicates(self):
         world = WorldModel.from_weights(("a", "b"), [0.25] * 4)
         with pytest.raises(ValueError):
@@ -222,6 +236,69 @@ class TestWorldModel:
     @settings(max_examples=50)
     def test_constructed_worlds_normalized(self, world):
         assert float(world.probs.sum()) == pytest.approx(1.0, abs=TOL)
+
+
+def bincount_marginal(world, ids):
+    """Reference marginal_table: one bucket key per cell, then np.bincount."""
+    masks = np.arange(len(world.probs), dtype=np.int64)
+    key = np.zeros(len(masks), dtype=np.int64)
+    for j, pid in enumerate(ids):
+        key |= ((masks >> world.universe.index(pid)) & 1) << j
+    return np.bincount(key, weights=world.probs, minlength=1 << len(ids))
+
+
+def random_world(size, seed):
+    """World of up to 2**size random cells, about a quarter of them zero."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(1 << size) * (rng.random(1 << size) > 0.25)
+    weights[int(rng.integers(1 << size))] += 1.0
+    return WorldModel.from_weights(tuple(f"v{i}" for i in range(size)), weights)
+
+
+class TestMarginalTable:
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    @settings(max_examples=80)
+    def test_matches_bincount_reference(self, size, seed, rng):
+        world = random_world(size, seed)
+        order = list(world.universe)
+        rng.shuffle(order)
+        requests = [order[: rng.randint(1, size)], order[:1], order, list(world.universe)]
+        for ids in requests:
+            got = world.marginal_table(ids)
+            assert got.shape == (1 << len(ids),)
+            np.testing.assert_allclose(got, bincount_marginal(world, ids), rtol=1e-12, atol=1e-15)
+
+    def test_score_reads_the_table_once(self, monkeypatch):
+        calls = []
+        original = WorldModel.marginal_table
+
+        def counting(self, ids):
+            calls.append(tuple(ids))
+            return original(self, ids)
+
+        monkeypatch.setattr(WorldModel, "marginal_table", counting)
+        for name in ("marginal", "union_probability"):
+            monkeypatch.setattr(WorldModel, name, None)  # any other pass would fail the score
+        world = build_independent_world([f"v{i}" for i in range(8)], [0.1 * (i + 1) for i in range(8)])
+        f = Concept("f", (("v0", 0.1), ("v1", 0.2), ("v2", 0.3)))
+        w = Concept("w", (("v2", 0.3), ("v5", 0.9)))  # v5 is declared off its marginal
+        with pytest.warns(DegreeMismatchWarning) as caught:
+            shannon_inheritance(f, w, world)
+        assert [str(item.message).split(":")[0] for item in caught] == ["degree-mismatch v5"]
+        assert len(calls) == 1
+        assert sorted(calls[0]) == ["v0", "v1", "v2", "v5"]
+
+    def test_score_allocates_less_than_one_table(self):
+        world = build_independent_world([f"v{i}" for i in range(18)], [0.3] * 18)
+        f = concept_at(world, "f", ("v0", "v9", "v17"))
+        w = concept_at(world, "w", ("v9", "v4"))
+        tracemalloc.start()
+        try:
+            shannon_inheritance(f, w, world)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < world.probs.nbytes
 
 
 class TestConceptEventProbability:
@@ -250,6 +327,11 @@ class TestDegreeMismatches:
     def test_silent_when_close(self):
         world = build_independent_world(["a"], [0.5])
         assert degree_mismatches(Concept("c", (("a", 0.5),)), world) == []
+
+    def test_names_only_the_disagreeing_property(self):
+        world = build_independent_world(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
+        c = Concept("c", (("d", 0.4), ("b", 0.25), ("a", 0.1)))
+        assert [m.split(":")[0] for m in degree_mismatches(c, world)] == ["degree-mismatch b"]
 
     def test_reports_disagreement(self):
         world = build_independent_world(["a"], [0.9])

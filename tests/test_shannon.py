@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,10 @@ from intension.errors import ConditioningOnNull, InvalidDegree, SubsetTooLarge, 
 from intension.model import (
     Concept,
     DegreeMismatchWarning,
+    WorldModel,
     build_exclusive_world,
     build_independent_world,
+    concept_event_probability,
 )
 from intension.shannon import (
     INTERACTION_CONVENTION,
@@ -347,3 +350,107 @@ class TestOracleEquivalence:
         assert mutual_information(f, w, world) == pytest.approx(
             oracles.concept_mutual_information(dist, (0,), (size - 1,)), abs=TOL
         )
+
+
+def dist_of(world):
+    size = len(world.universe)
+    return {
+        tuple((mask >> i) & 1 for i in range(size)): float(p)
+        for mask, p in enumerate(world.probs)
+        if p > 0
+    }
+
+
+def tiny_world():
+    """Masses near 1e-300, normalized against one another."""
+    rng = np.random.default_rng(5)
+    return WorldModel.from_weights(tuple(f"v{i}" for i in range(6)), rng.integers(1, 9, 64) * 1e-300)
+
+
+def tiny_cells_world():
+    """Ordinary masses, plus cells of about 1e-300 where v0 holds."""
+    weights = np.zeros(1 << 6)
+    weights[0b000010], weights[0b111110], weights[0b000100] = 0.5, 0.25, 0.25
+    weights[0b000001], weights[0b100011] = 1e-300, 3e-300
+    return WorldModel.from_weights(tuple(f"v{i}" for i in range(6)), weights)
+
+
+def single_cell_world():
+    weights = np.zeros(1 << 7)
+    weights[0b1010010] = 3.0
+    return WorldModel.from_weights(tuple(f"v{i}" for i in range(7)), weights)
+
+
+def rare_world():
+    """P(v0 or v1) is about 1e-12; 1 - P(neither) would lose most of its digits."""
+    return build_independent_world([f"v{i}" for i in range(8)], [4e-13, 6e-13, 0.5, 0.3, 0.9, 0.2, 0.7, 0.05])
+
+
+ADVERSARIAL_WORLDS = [tiny_world, tiny_cells_world, single_cell_world, rare_world]
+
+
+class TestAdversarialWorlds:
+    @pytest.mark.parametrize("make", ADVERSARIAL_WORLDS, ids=lambda make: make.__name__)
+    def test_against_oracle(self, make):
+        world = make()
+        dist = dist_of(world)
+        size = len(world.universe)
+        rng = np.random.default_rng(size)
+        pairs = [((0,), (size - 1,)), ((0, 1), (1, 2, 3)), (tuple(range(size)), (0,))]
+        pairs += [
+            (tuple(rng.choice(size, rng.integers(1, 4), replace=False)), tuple(rng.choice(size, rng.integers(1, 4), replace=False)))
+            for _ in range(30)
+        ]
+        for f_idx, w_idx in pairs:
+            f = concept_at(world, "f", [world.universe[i] for i in f_idx])
+            w = concept_at(world, "w", [world.universe[i] for i in w_idx])
+            p_f = oracles.union_probability(dist, f_idx)
+            assert math.isclose(concept_event_probability(f, world), p_f, rel_tol=1e-9)
+            mi = mutual_information(f, w, world)
+            assert mi >= -1e-12
+            assert mi == pytest.approx(oracles.concept_mutual_information(dist, f_idx, w_idx), abs=1e-12)
+            if p_f == 0.0:
+                with pytest.raises(ConditioningOnNull):
+                    shannon_inheritance(f, w, world)
+                continue
+            report = shannon_inheritance(f, w, world)
+            assert 0.0 <= report.exact_conditional <= 1.0
+            assert report.mutual_information >= -1e-12
+            expected = oracles.exact_conditional(dist, f_idx, w_idx)
+            assert math.isclose(report.exact_conditional, expected, rel_tol=1e-9, abs_tol=0.0)
+
+    def test_rare_antecedent_keeps_its_digits(self):
+        world = rare_world()
+        f = concept_at(world, "f", ("v0", "v1"))
+        w = concept_at(world, "w", ("v1", "v2"))
+        p_f = 4e-13 + 6e-13 - 4e-13 * 6e-13
+        assert not math.isclose(1.0 - (1.0 - 4e-13) * (1.0 - 6e-13), p_f, rel_tol=1e-9)
+        assert math.isclose(concept_event_probability(f, world), p_f, rel_tol=1e-9)
+        # P(W | F) = P(v1 | F) + P(v0, not v1 | F) * P(v2)
+        expected = (6e-13 + 4e-13 * (1.0 - 6e-13) * 0.5) / p_f
+        assert math.isclose(shannon_inheritance(f, w, world).exact_conditional, expected, rel_tol=1e-9)
+
+    @given(
+        st.integers(2, 7),
+        st.lists(st.sampled_from([0.0, 0.0, 1e-300, 3e-300, 1e-12, 0.25, 1.0]), min_size=128, max_size=128),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60)
+    def test_mixed_scales(self, size, weights, rng):
+        weights = np.array(weights[: 1 << size])
+        if not weights.any():
+            weights[-1] = 1.0
+        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(size)), weights)
+        dist = dist_of(world)
+        f_idx = tuple(rng.sample(range(size), rng.randint(1, size)))
+        w_idx = tuple(rng.sample(range(size), rng.randint(1, size)))
+        f = concept_at(world, "f", [world.universe[i] for i in f_idx])
+        w = concept_at(world, "w", [world.universe[i] for i in w_idx])
+        p_f = oracles.union_probability(dist, f_idx)
+        assert math.isclose(concept_event_probability(f, world), p_f, rel_tol=1e-9)
+        if p_f == 0.0:
+            return
+        report = shannon_inheritance(f, w, world)
+        assert 0.0 <= report.exact_conditional <= 1.0
+        assert report.mutual_information >= -1e-12
+        assert math.isclose(report.exact_conditional, oracles.exact_conditional(dist, f_idx, w_idx), rel_tol=1e-9)
