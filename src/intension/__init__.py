@@ -13,14 +13,11 @@ from .algorithmic import (
     Compressor,
     algorithmic_inheritance,
     canonical_serialize,
-    concept_redundancy,
     deflate_compressor,
-    dequantize_degree,
     estimate_complexities,
     get_compressor,
     identity_compressor,
     quantize_degree,
-    serialize_extension_bitmap,
 )
 from .closed_forms import (
     ExclusiveCaseParams,
@@ -55,7 +52,6 @@ from .model import (
     WorldModel,
     build_exclusive_world,
     build_independent_world,
-    concept_event_probability,
     degree_mismatches,
     joint_event_probability,
     world_from_instances,

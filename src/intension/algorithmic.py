@@ -21,9 +21,6 @@ Joint serialization concatenates the two concept encodings around a single
 0x1F separator byte. All complexities are reported in bits as 8x the byte
 length; no finer granularity is pretended. Mutual-information estimates
 inside the +-64 bit band are flagged as compressor noise, never clamped.
-
-A second serialization mode, extension bitmaps, serves concepts that are
-plain instance sets: one bit per instance of the universe.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import CompressorFailure
 from .model import Concept, check_degree
@@ -47,12 +44,6 @@ def quantize_degree(d: float) -> int:
     """16-bit fixed-point code for a degree; round-half-even, saturating."""
     d = check_degree(d)
     return min(int(round(d * DEGREE_SCALE)), DEGREE_SCALE - 1)
-
-
-def dequantize_degree(q: int) -> float:
-    if not 0 <= q < DEGREE_SCALE:
-        raise ValueError(f"quantized degree out of range: {q}")
-    return q / DEGREE_SCALE
 
 
 def canonical_serialize(concept: Concept) -> bytes:
@@ -69,22 +60,6 @@ def canonical_serialize(concept: Concept) -> bytes:
         parts.append(encoded)
         parts.append(struct.pack(">H", quantize_degree(degree)))
     return b"".join(parts)
-
-
-def serialize_extension_bitmap(members: Iterable[int], universe_size: int) -> bytes:
-    """Bitmap encoding of an instance set: bit (i-1) marks instance i.
-
-    Bits are packed LSB-first within each byte, after a u16 BE universe
-    size prefix.
-    """
-    if not 1 <= universe_size < 1 << 16:
-        raise ValueError(f"universe_size out of range: {universe_size}")
-    bitmap = bytearray((universe_size + 7) // 8)
-    for i in members:
-        if not 1 <= i <= universe_size:
-            raise ValueError(f"instance id {i} outside 1..{universe_size}")
-        bitmap[(i - 1) // 8] |= 1 << ((i - 1) % 8)
-    return struct.pack(">H", universe_size) + bytes(bitmap)
 
 
 class Compressor:
@@ -161,8 +136,9 @@ class ComplexityEstimate:
         return self.k_f + self.k_w - self.k_joint
 
 
-def complexity_from_bytes(f_bytes: bytes, w_bytes: bytes, compressor: Compressor) -> ComplexityEstimate:
-    """Complexity estimate for two pre-serialized descriptions."""
+def estimate_complexities(f: Concept, w: Concept, compressor: Compressor) -> ComplexityEstimate:
+    """Complexity estimate over the canonical concept serializations."""
+    f_bytes, w_bytes = canonical_serialize(f), canonical_serialize(w)
     baseline = compressor.baseline_bytes
     k_f = 8.0 * max(0, compressor.length_bytes(f_bytes) - baseline)
     k_w = 8.0 * max(0, compressor.length_bytes(w_bytes) - baseline)
@@ -175,11 +151,6 @@ def complexity_from_bytes(f_bytes: bytes, w_bytes: bytes, compressor: Compressor
         k_w_given_f=max(0.0, k_joint - k_f),
         overhead=8.0 * baseline,
     )
-
-
-def estimate_complexities(f: Concept, w: Concept, compressor: Compressor) -> ComplexityEstimate:
-    """Complexity estimate over the canonical concept serializations."""
-    return complexity_from_bytes(canonical_serialize(f), canonical_serialize(w), compressor)
 
 
 @dataclass(frozen=True)
@@ -211,31 +182,12 @@ def _pow2(x: float) -> float:
     return 2.0 ** x
 
 
-def inheritance_from_complexities(estimate: ComplexityEstimate) -> AlgorithmicInheritance:
+def algorithmic_inheritance(f: Concept, w: Concept, compressor: Compressor) -> AlgorithmicInheritance:
+    """Score inheritance of w from f by compressed description lengths."""
+    estimate = estimate_complexities(f, w, compressor)
     mi = estimate.mutual_information
     return AlgorithmicInheritance(
         mutual_information=mi,
         prior_estimate=_pow2(-estimate.k_w),
         conditional_estimate=_pow2(mi - estimate.k_w),
     )
-
-
-def algorithmic_inheritance(f: Concept, w: Concept, compressor: Compressor) -> AlgorithmicInheritance:
-    """Score inheritance of w from f by compressed description lengths."""
-    return inheritance_from_complexities(estimate_complexities(f, w, compressor))
-
-
-def concept_redundancy(concept: Concept, compressor: Compressor) -> float:
-    """Bits saved by encoding the concept whole versus property by property.
-
-    Sum of single-property complexities minus the whole-concept complexity;
-    a diagnostic for how much structure the properties share under the
-    chosen compressor.
-    """
-    baseline = compressor.baseline_bytes
-    whole = 8.0 * max(0, compressor.length_bytes(canonical_serialize(concept)) - baseline)
-    parts = 0.0
-    for pid, degree in concept.properties:
-        single = canonical_serialize(Concept(concept.name, ((pid, degree),)))
-        parts += 8.0 * max(0, compressor.length_bytes(single) - baseline)
-    return parts - whole

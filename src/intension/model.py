@@ -265,16 +265,9 @@ def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, 
 
 
 def world_from_instances(table: InstanceTable) -> WorldModel:
-    """World whose mass at each assignment is the table's normalized weight."""
-    weights = np.zeros(1 << len(table.universe))
-    for mask, weight in table.rows:
-        weights[mask] += weight
-    return WorldModel.from_weights(table.universe, weights)
-
-
-def concept_event_probability(concept: Concept, world: WorldModel) -> float:
-    """P(concept event) = P(at least one of its properties holds)."""
-    return world.union_probability(concept.ids)
+    """World whose mass at each assignment is the table's normalized weight; rows add in order."""
+    masks, weights = zip(*table.rows)
+    return WorldModel.from_weights(table.universe, np.bincount(masks, weights, minlength=1 << len(table.universe)))
 
 
 def pair_marginal(f: Concept, w: Concept, world: WorldModel) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ from .model import (  # noqa: F401 -- bench/spans.py traces degree_mismatches an
     degree_mismatches,
     describe_mismatches,
     joint_event_probability,
-    marginalize,
     pair_marginal,
 )
 
@@ -104,14 +102,22 @@ def interaction_information(vars: Iterable[str], world: WorldModel) -> Interacti
         raise ValueError(f"interaction needs at least two variables, got {t}")
     if t > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{t} variables exceeds the lattice cap of {MAX_LATTICE_VARS}")
-    # One marginalization onto the subset, then every H(T) by folding that table.
-    table = world.marginal_table(ids)
-    value = 0.0
-    for size in range(1, t + 1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        for positions in combinations(range(t), size):
-            value += sign * _table_entropy(marginalize(table, positions))
+    value = _lattice_sum(world.marginal_table(ids), t, 1.0 if t % 2 == 1 else -1.0)
     return InteractionReport(subset=tuple(sorted(ids)), value=value)
+
+
+def _lattice_sum(table: np.ndarray, below: int, sign: float) -> float:
+    """sign * H(table), then the same sum with the opposite sign over each fold of one bit below `below`.
+
+    Every nonempty subset is reached once, its missing bits folded high to low as in `marginalize`,
+    so each H(T) is the same float as a direct marginal's; from a 2**t table the walk reads about 3**(t + 1) cells.
+    """
+    value = sign * _table_entropy(table)
+    if table.size > 2:
+        for bit in range(below):
+            halves = table.reshape(-1, 2, 1 << bit)
+            value += _lattice_sum(halves[:, 0] + halves[:, 1], bit, -sign)
+    return value
 
 
 def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> float:

@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import overlapping_pair, random_concept
 from intension.algorithmic import (
+    DEGREE_SCALE,
     JOINT_SEPARATOR,
     AlgorithmicInheritance,
     Compressor,
     algorithmic_inheritance,
     canonical_serialize,
-    complexity_from_bytes,
-    concept_redundancy,
     deflate_compressor,
-    dequantize_degree,
     estimate_complexities,
     get_compressor,
     identity_compressor,
     quantize_degree,
-    serialize_extension_bitmap,
 )
 from intension.errors import CompressorFailure, InvalidDegree
 from intension.model import Concept
@@ -39,13 +36,13 @@ JOINT_SLACK_BITS = 64.0
 
 class TestDegreeQuantization:
     def test_half_is_exact(self):
-        assert dequantize_degree(quantize_degree(0.5)) == 0.5
+        assert quantize_degree(0.5) / DEGREE_SCALE == 0.5
 
     def test_third_rounds_to_fixed_point(self):
         # oracle: integer rounding of 65536/3
         expected = round(Fraction(65536, 3))
         assert quantize_degree(1 / 3) == expected == 21845
-        assert dequantize_degree(21845) == 21845 / 65536
+        assert quantize_degree(1 / 3) / DEGREE_SCALE == 21845 / 65536
 
     def test_one_saturates(self):
         # 1.0 needs 17 bits; the encoding saturates at 65535/65536
@@ -53,17 +50,14 @@ class TestDegreeQuantization:
 
     def test_zero(self):
         assert quantize_degree(0.0) == 0
-        assert dequantize_degree(0) == 0.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidDegree):
             quantize_degree(1.5)
-        with pytest.raises(ValueError):
-            dequantize_degree(65536)
 
     @given(st.floats(0.0, 1.0, allow_nan=False))
     def test_round_trip_error_bounded(self, d):
-        assert abs(dequantize_degree(quantize_degree(d)) - d) <= 1 / 65536
+        assert abs(quantize_degree(d) / DEGREE_SCALE - d) <= 1 / 65536
 
 
 class TestCanonicalSerialize:
@@ -84,20 +78,6 @@ class TestCanonicalSerialize:
     def test_deterministic(self):
         c = random_concept(random.Random(0), "c", 12)
         assert canonical_serialize(c) == canonical_serialize(c)
-
-
-class TestExtensionBitmap:
-    def test_exact_bytes(self):
-        # universe of 3: prefix 0x0003, instances 1 and 3 -> bits 0 and 2
-        assert serialize_extension_bitmap({1, 3}, 3) == b"\x00\x03\x05"
-
-    def test_spans_bytes(self):
-        data = serialize_extension_bitmap({9}, 9)
-        assert data == b"\x00\x09\x00\x01"
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            serialize_extension_bitmap({4}, 3)
 
 
 class TestCompressors:
@@ -135,9 +115,8 @@ class TestEmptyInputBaseline:
         w = random_concept(random.Random(5), "w", 5, taken=f.ids)
         first = algorithmic_inheritance(f, w, comp)
         assert algorithmic_inheritance(f, w, comp) == first
-        concept_redundancy(f, comp)
         assert seen.count(b"") == 1
-        assert len(seen) == 1 + 3 + 3 + 1 + len(f.properties)
+        assert len(seen) == 1 + 3 + 3
 
     def test_lengths_unchanged(self):
         # frozen from the deflate compressor before the baseline was cached
@@ -286,25 +265,3 @@ class TestAlgorithmicInheritance:
         result = algorithmic_inheritance(c, c, comp)
         assert result.mutual_information == -8.0
         assert result.within_noise_floor
-
-
-class TestConceptRedundancy:
-    def test_single_property_is_zero(self):
-        for comp in (identity_compressor(), deflate_compressor()):
-            c = Concept("c", (("abcd", 0.25),))
-            assert concept_redundancy(c, comp) == 0.0
-
-    def test_repeated_structure_is_redundant(self):
-        comp = deflate_compressor()
-        c = Concept("c", tuple((f"prefix_{i:02d}", 0.5) for i in range(16)))
-        assert concept_redundancy(c, comp) > 0.0
-
-
-class TestBitmapComplexities:
-    def test_extension_bytes_feed_the_same_pipeline(self):
-        comp = deflate_compressor()
-        f_bytes = serialize_extension_bitmap({1, 2, 3}, 16)
-        w_bytes = serialize_extension_bitmap({3, 4, 5}, 16)
-        est = complexity_from_bytes(f_bytes, w_bytes, comp)
-        assert est.k_joint >= 0.0
-        assert est.k_w_given_f == max(0.0, est.k_joint - est.k_f)

@@ -22,7 +22,6 @@ from intension.model import (
     WorldModel,
     build_exclusive_world,
     build_independent_world,
-    concept_event_probability,
     degree_mismatches,
     joint_event_probability,
     world_from_instances,
@@ -92,7 +91,7 @@ class TestBuildIndependentWorld:
         for pid, mu in zip(universe, marginals):
             assert world.marginal(pid) == pytest.approx(mu, abs=TOL)
             single = Concept("c", ((pid, mu),))
-            assert concept_event_probability(single, world) == pytest.approx(mu, abs=TOL)
+            assert world.union_probability(single.ids) == pytest.approx(mu, abs=TOL)
 
 
 class TestBuildExclusiveWorld:
@@ -105,8 +104,8 @@ class TestBuildExclusiveWorld:
     def test_counts_4_3_2(self):
         world, f, w = build_exclusive_world(4, 3, 2)
         assert len(world.universe) == 5
-        assert concept_event_probability(f, world) == pytest.approx(0.8, abs=TOL)
-        assert concept_event_probability(w, world) == pytest.approx(0.6, abs=TOL)
+        assert world.union_probability(f.ids) == pytest.approx(0.8, abs=TOL)
+        assert world.union_probability(w.ids) == pytest.approx(0.6, abs=TOL)
         assert joint_event_probability(f, w, world) == pytest.approx(0.4, abs=TOL)
 
     def test_disjoint(self):
@@ -121,8 +120,8 @@ class TestBuildExclusiveWorld:
                 for k in range(1, min(n, m) + 1):
                     world, f, w = build_exclusive_world(n, m, k)
                     s = n + m - k
-                    assert concept_event_probability(f, world) == pytest.approx(n / s, abs=TOL)
-                    assert concept_event_probability(w, world) == pytest.approx(m / s, abs=TOL)
+                    assert world.union_probability(f.ids) == pytest.approx(n / s, abs=TOL)
+                    assert world.union_probability(w.ids) == pytest.approx(m / s, abs=TOL)
                     assert joint_event_probability(f, w, world) == pytest.approx(k / s, abs=TOL)
                     for pid in world.universe:
                         assert world.marginal(pid) == pytest.approx(1 / s, abs=TOL)
@@ -169,6 +168,15 @@ class TestWorldFromInstances:
         table = InstanceTable(("a",), ((1, 1.0), (1, 1.0), (0, 2.0)))
         world = world_from_instances(table)
         assert world.probs[1] == pytest.approx(0.5, abs=TOL)
+
+    def test_matches_row_loop_exactly(self):
+        rng = np.random.default_rng(8)
+        rows = tuple((int(m), float(w)) for m, w in zip(rng.integers(0, 16, 200), rng.random(200) * 1e3))
+        weights = np.zeros(16)
+        for mask, weight in rows:
+            weights[mask] += weight
+        world = world_from_instances(InstanceTable(tuple("abcd"), rows))
+        assert np.array_equal(world.probs, WorldModel.from_weights(tuple("abcd"), weights).probs)
 
     def test_reserialization_idempotent(self):
         rng = np.random.default_rng(3)
@@ -304,23 +312,23 @@ class TestMarginalTable:
 class TestConceptEventProbability:
     def test_exclusive_formula(self):
         world, f, _ = build_exclusive_world(4, 3, 2)
-        assert concept_event_probability(f, world) == pytest.approx(0.8, abs=TOL)
+        assert world.union_probability(f.ids) == pytest.approx(0.8, abs=TOL)
 
     def test_full_universe_complement(self):
         dist = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
         world = world_from_dist(("a", "b"), dist)
         whole = concept_at(world, "all", ("a", "b"))
-        assert concept_event_probability(whole, world) == pytest.approx(1.0 - 0.1, abs=TOL)
+        assert world.union_probability(whole.ids) == pytest.approx(1.0 - 0.1, abs=TOL)
 
     def test_independent_pair_union(self):
         world = build_independent_world(["a", "b"], [0.5, 0.5])
         c = concept_at(world, "ab", ("a", "b"))
-        assert concept_event_probability(c, world) == pytest.approx(0.75, abs=TOL)
+        assert world.union_probability(c.ids) == pytest.approx(0.75, abs=TOL)
 
     def test_unknown_property(self):
         world = build_independent_world(["a"], [0.5])
         with pytest.raises(UnknownProperty):
-            concept_event_probability(Concept("c", (("zzz", 0.5),)), world)
+            world.union_probability(Concept("c", (("zzz", 0.5),)).ids)
 
 
 class TestDegreeMismatches:

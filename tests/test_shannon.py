@@ -14,7 +14,6 @@ from intension.model import (
     WorldModel,
     build_exclusive_world,
     build_independent_world,
-    concept_event_probability,
 )
 from intension.shannon import (
     INTERACTION_CONVENTION,
@@ -217,6 +216,18 @@ class TestInteractionInformation:
             expected, abs=TOL
         )
 
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_matches_oracle_on_wide_lattices(self, t):
+        # t of t + 2 variables, in shuffled order, with some empty cells
+        rng = np.random.default_rng(100 + t)
+        size = t + 2
+        weights = rng.random(1 << size) * (rng.random(1 << size) > 0.3)
+        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(size)), weights)
+        idx = rng.permutation(size)[:t]
+        expected = oracles.interaction_information(dist_of(world), idx)
+        value = interaction_information([world.universe[i] for i in idx], world).value
+        assert value == pytest.approx(expected, abs=TOL)
+
 
 class TestTotalInteractionAdjustment:
     def test_independent_disjoint_singletons(self):
@@ -405,7 +416,7 @@ class TestAdversarialWorlds:
             f = concept_at(world, "f", [world.universe[i] for i in f_idx])
             w = concept_at(world, "w", [world.universe[i] for i in w_idx])
             p_f = oracles.union_probability(dist, f_idx)
-            assert math.isclose(concept_event_probability(f, world), p_f, rel_tol=1e-9)
+            assert math.isclose(world.union_probability(f.ids), p_f, rel_tol=1e-9)
             mi = mutual_information(f, w, world)
             assert mi >= -1e-12
             assert mi == pytest.approx(oracles.concept_mutual_information(dist, f_idx, w_idx), abs=1e-12)
@@ -425,7 +436,7 @@ class TestAdversarialWorlds:
         w = concept_at(world, "w", ("v1", "v2"))
         p_f = 4e-13 + 6e-13 - 4e-13 * 6e-13
         assert not math.isclose(1.0 - (1.0 - 4e-13) * (1.0 - 6e-13), p_f, rel_tol=1e-9)
-        assert math.isclose(concept_event_probability(f, world), p_f, rel_tol=1e-9)
+        assert math.isclose(world.union_probability(f.ids), p_f, rel_tol=1e-9)
         # P(W | F) = P(v1 | F) + P(v0, not v1 | F) * P(v2)
         expected = (6e-13 + 4e-13 * (1.0 - 6e-13) * 0.5) / p_f
         assert math.isclose(shannon_inheritance(f, w, world).exact_conditional, expected, rel_tol=1e-9)
@@ -447,7 +458,7 @@ class TestAdversarialWorlds:
         f = concept_at(world, "f", [world.universe[i] for i in f_idx])
         w = concept_at(world, "w", [world.universe[i] for i in w_idx])
         p_f = oracles.union_probability(dist, f_idx)
-        assert math.isclose(concept_event_probability(f, world), p_f, rel_tol=1e-9)
+        assert math.isclose(world.union_probability(f.ids), p_f, rel_tol=1e-9)
         if p_f == 0.0:
             return
         report = shannon_inheritance(f, w, world)
