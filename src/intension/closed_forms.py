@@ -17,34 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyAntecedent, InvalidOverlap, UniverseTooLarge, ZeroOverlap
-from .model import MAX_UNIVERSE, Concept, InstanceTable, world_from_instances
+from .errors import EmptyAntecedent, ZeroOverlap
+from .model import Concept, ExclusiveCaseParams, InstanceTable, check_universe, world_from_instances
 from .shannon import shannon_inheritance
-
-
-@dataclass(frozen=True)
-class ExclusiveCaseParams:
-    """Counts for the mutually-exclusive uniform case: n, m properties, k shared."""
-
-    n: int
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got {(self.n, self.m)}")
-        if not 0 <= self.k <= min(self.n, self.m):
-            raise InvalidOverlap(f"overlap k={self.k} outside [0, min(n, m)={min(self.n, self.m)}]")
-
-    @property
-    def s(self) -> int:
-        """Total distinct properties."""
-        return self.n + self.m - self.k
-
-    @property
-    def p(self) -> float:
-        """Uniform degree of each property."""
-        return 1.0 / self.s
 
 
 def exclusive_shannon(params: ExclusiveCaseParams) -> float:
@@ -111,15 +86,11 @@ def singleton_reduction_check(pair: ExtensionalPair) -> tuple[float, float]:
     world and scores the two concepts with the full machinery; the pair of
     returned values agrees to 1e-12. Both extensions must be nonempty.
     """
-    if pair.universe_size > MAX_UNIVERSE:
-        raise UniverseTooLarge(f"{pair.universe_size} instances exceeds the cap of {MAX_UNIVERSE}")
-    if not pair.f_extension:
-        raise EmptyAntecedent("antecedent extension is empty")
-    universe = tuple(f"x{i}" for i in range(1, pair.universe_size + 1))
-    rows = tuple((1 << i, 1.0) for i in range(pair.universe_size))
+    extensional = extensional_inheritance(pair)
+    universe = check_universe(f"x{i}" for i in range(1, pair.universe_size + 1))
+    rows = tuple((1 << i, 1.0) for i in range(len(universe)))
     world = world_from_instances(InstanceTable(universe, rows))
     degree = 1.0 / pair.universe_size
     f = Concept("F", tuple((f"x{i}", degree) for i in sorted(pair.f_extension)))
     w = Concept("W", tuple((f"x{i}", degree) for i in sorted(pair.w_extension)))
-    report = shannon_inheritance(f, w, world)
-    return extensional_inheritance(pair), report.exact_conditional
+    return extensional, shannon_inheritance(f, w, world).exact_conditional

@@ -10,7 +10,8 @@ World files start with a mode line. `independent` is followed by
 `<id> <marginal>` lines; `exclusive <n> <m> <k>` stands alone;
 `instances` is followed by `<comma-separated ids> <weight>` rows, where a
 lone `-` means the row holds no properties. Files are UTF-8; blank lines
-are ignored and `#` starts a comment line.
+are ignored and `#` starts a comment line. Parsing takes linear time, and a
+world naming more than 24 properties is refused before any table or bitmask is built.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .model import (
     WorldModel,
     build_exclusive_world,
     build_independent_world,
+    check_universe,
     world_from_instances,
 )
 
@@ -42,14 +44,14 @@ def parse_concepts(text: str, source: str = "<string>") -> dict[str, Concept]:
     concepts: dict[str, Concept] = {}
     name: str | None = None
     header_line = 0
-    pending: list[tuple[str, float]] = []
+    pending: dict[str, float] = {}
 
     def flush():
         if name is None:
             return
         if not pending:
             raise ParseError(source, header_line, f"concept {name!r} has no properties")
-        concepts[name] = Concept(name, tuple(pending))
+        concepts[name] = Concept(name, tuple(pending.items()))
 
     for lineno, line in _significant_lines(text):
         tokens = line.split()
@@ -59,14 +61,14 @@ def parse_concepts(text: str, source: str = "<string>") -> dict[str, Concept]:
             flush()
             if tokens[1] in concepts:
                 raise ParseError(source, lineno, f"duplicate concept {tokens[1]!r}")
-            name, header_line, pending = tokens[1], lineno, []
+            name, header_line, pending = tokens[1], lineno, {}
         elif tokens[0] == "property":
             if name is None:
                 raise ParseError(source, lineno, "property line before any concept header")
             if len(tokens) != 3:
                 raise ParseError(source, lineno, "expected: property <id> <degree>")
             pid = tokens[1]
-            if any(pid == existing for existing, _ in pending):
+            if pid in pending:
                 raise ParseError(source, lineno, f"duplicate property {pid!r} in concept {name!r}")
             try:
                 degree = float(tokens[2])
@@ -74,7 +76,7 @@ def parse_concepts(text: str, source: str = "<string>") -> dict[str, Concept]:
                 raise ParseError(source, lineno, f"bad degree {tokens[2]!r}") from None
             if not 0.0 <= degree <= 1.0:
                 raise ParseError(source, lineno, f"degree {tokens[2]} outside [0, 1]")
-            pending.append((pid, degree))
+            pending[pid] = degree
         else:
             raise ParseError(source, lineno, f"unknown directive {tokens[0]!r}")
     flush()
@@ -113,28 +115,25 @@ def parse_world(text: str, source: str = "<string>") -> WorldModel:
 
 
 def _parse_independent(body: list[tuple[int, str]], source: str) -> WorldModel:
-    universe: list[str] = []
-    marginals: list[float] = []
+    marginals: dict[str, float] = {}
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(source, lineno, "expected: <id> <marginal>")
         pid, raw = tokens
-        if pid in universe:
+        if pid in marginals:
             raise ParseError(source, lineno, f"duplicate property {pid!r}")
         try:
-            marginal = float(raw)
+            marginals[pid] = float(raw)
         except ValueError:
             raise ParseError(source, lineno, f"bad marginal {raw!r}") from None
-        universe.append(pid)
-        marginals.append(marginal)
-    if not universe:
+    if not marginals:
         raise ParseError(source, 1, "independent world needs at least one property line")
-    return _wrap(source, body[0][0], build_independent_world, universe, marginals)
+    return _wrap(source, body[0][0], build_independent_world, list(marginals), list(marginals.values()))
 
 
 def _parse_instances(body: list[tuple[int, str]], source: str, header_line: int) -> WorldModel:
-    universe: list[str] = []
+    index: dict[str, int] = {}
     rows: list[tuple[list[str], float]] = []
     for lineno, line in body:
         tokens = line.split()
@@ -149,8 +148,7 @@ def _parse_instances(body: list[tuple[int, str]], source: str, header_line: int)
             if pid in seen:
                 raise ParseError(source, lineno, f"duplicate property {pid!r} in row")
             seen.add(pid)
-            if pid not in universe:
-                universe.append(pid)
+            index.setdefault(pid, len(index))
         try:
             weight = float(raw)
         except ValueError:
@@ -160,9 +158,9 @@ def _parse_instances(body: list[tuple[int, str]], source: str, header_line: int)
         rows.append((ids, weight))
     if not rows:
         raise ParseError(source, header_line, "instances world needs at least one row")
-    index = {pid: i for i, pid in enumerate(universe)}
+    universe = _wrap(source, header_line, check_universe, index)  # before any bitmask is sized by the ids
     masked = tuple((sum(1 << index[pid] for pid in ids), weight) for ids, weight in rows)
-    return _wrap(source, header_line, lambda: world_from_instances(InstanceTable(tuple(universe), masked)))
+    return _wrap(source, header_line, lambda: world_from_instances(InstanceTable(universe, masked)))
 
 
 def _wrap(source: str, lineno: int, fn, *args):

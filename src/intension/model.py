@@ -24,8 +24,10 @@ probabilities; the world model is ground truth, and a disagreement beyond
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,12 +61,16 @@ def check_property_id(pid: str) -> str:
 
 
 def check_universe(universe: Iterable[str]) -> tuple[str, ...]:
-    """Validate a universe before any table is sized by it: distinct ids, at most MAX_UNIVERSE."""
+    """Validate a universe before any table is sized by it: at most MAX_UNIVERSE distinct ids.
+
+    Reads ids lazily and checks the cap on the first MAX_UNIVERSE + 1, so a generator sized by input is never drained.
+    """
+    universe = tuple(islice(universe, MAX_UNIVERSE + 1))
+    if len(universe) > MAX_UNIVERSE:
+        raise UniverseTooLarge(f"universe has more than {MAX_UNIVERSE} properties")
     universe = tuple(check_property_id(p) for p in universe)
     if len(set(universe)) != len(universe):
         raise InvalidProperty(f"universe has duplicate ids: {universe}")
-    if len(universe) > MAX_UNIVERSE:
-        raise UniverseTooLarge(f"universe has {len(universe)} properties, cap is {MAX_UNIVERSE}")
     return universe
 
 
@@ -93,7 +99,7 @@ class Concept:
             raise InvalidConcept(f"concept {self.name!r} has no properties")
         ids = [p for p, _ in props]
         if len(set(ids)) != len(ids):
-            dupes = sorted({p for p in ids if ids.count(p) > 1})
+            dupes = sorted(p for p, count in Counter(ids).items() if count > 1)
             raise InvalidConcept(f"concept {self.name!r} repeats properties: {dupes}")
         object.__setattr__(self, "properties", props)
 
@@ -215,12 +221,11 @@ class InstanceTable:
     rows: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        universe = check_universe(self.universe)
-        object.__setattr__(self, "universe", universe)
-        top = 1 << len(universe)
+        object.__setattr__(self, "universe", check_universe(self.universe))
+        top = 1 << len(self.universe)
         for mask, weight in self.rows:
             if not 0 <= mask < top:
-                raise ValueError(f"row mask {mask} out of range for {len(universe)} properties")
+                raise ValueError(f"row mask {mask} out of range for {len(self.universe)} properties")
             if not np.isfinite(weight) or weight < 0:
                 raise ValueError(f"row weight must be finite and nonnegative, got {weight!r}")
         if not any(weight > 0 for _, weight in self.rows):
@@ -239,6 +244,31 @@ def build_independent_world(universe: Sequence[str], marginals: Sequence[float])
     return WorldModel.from_weights(universe, probs)
 
 
+@dataclass(frozen=True)
+class ExclusiveCaseParams:
+    """Counts for the mutually-exclusive uniform case: n, m properties, k shared."""
+
+    n: int
+    m: int
+    k: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ValueError(f"need n >= 1 and m >= 1, got {(self.n, self.m)}")
+        if not 0 <= self.k <= min(self.n, self.m):
+            raise InvalidOverlap(f"overlap k={self.k} outside [0, min(n, m)={min(self.n, self.m)}]")
+
+    @property
+    def s(self) -> int:
+        """Total distinct properties."""
+        return self.n + self.m - self.k
+
+    @property
+    def p(self) -> float:
+        """Uniform degree of each property; true division of ints, so a huge s gives 0.0, not OverflowError."""
+        return 1 / self.s
+
+
 def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, Concept]:
     """One-hot world for two concepts with k shared properties.
 
@@ -246,21 +276,13 @@ def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, 
     holds at a time, each with probability 1/s. The first concept owns
     p1..pn, the second owns the last m, so they share k in the middle.
     """
-    if n < 1 or m < 1 or k < 0:
-        raise ValueError(f"need n >= 1, m >= 1, k >= 0, got {(n, m, k)}")
-    if k > min(n, m):
-        raise InvalidOverlap(f"overlap k={k} exceeds min(n, m)={min(n, m)}")
-    s = n + m - k
-    if s > MAX_UNIVERSE:
-        raise UniverseTooLarge(f"universe has {s} properties, cap is {MAX_UNIVERSE}")
-    universe = tuple(f"p{i + 1}" for i in range(s))
-    weights = np.zeros(1 << s)
-    for i in range(s):
-        weights[1 << i] = 1.0
+    params = ExclusiveCaseParams(n, m, k)
+    universe = check_universe(f"p{i + 1}" for i in range(params.s))
+    weights = np.zeros(1 << params.s)
+    weights[1 << np.arange(params.s)] = 1.0
     world = WorldModel.from_weights(universe, weights)
-    degree = 1.0 / s
-    f = Concept("F", tuple((universe[i], degree) for i in range(n)))
-    w = Concept("W", tuple((universe[i], degree) for i in range(s - m, s)))
+    f = Concept("F", tuple((pid, params.p) for pid in universe[:n]))
+    w = Concept("W", tuple((pid, params.p) for pid in universe[-m:]))
     return world, f, w
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from intension.algorithmic import algorithmic_inheritance, get_compressor
 from intension.cli import build_score_report, render_flat_json, run
@@ -234,3 +239,114 @@ class TestOtherCommands:
         capsys.readouterr()
         assert run([]) != 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("counts", [("1", "1" + "0" * 400, "1"), ("1" + "0" * 400, "1", "1")], ids=["huge-m", "huge-n"])
+    def test_huge_exclusive_counts_exit_cleanly(self, capsys, counts):
+        n, m, k = counts
+        code, out, err = invoke(capsys, ["exclusive", "--n", n, "--m", m, "--k", k])
+        assert code in (0, 2)
+        if code == 0:
+            assert err == ""
+            assert "p=0\n" in out  # 1/s underflows to 0.0
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Inputs for the CLI contract fuzz. About half the examples are well formed,
+# so they reach the engines; the rest carry junk, huge or out-of-range tokens.
+# Universes stay at 8 ids or fewer, or go past the 24-property cap, so no
+# example allocates a near-cap table.
+IDS = list("abcdefgh")
+NAMES = ["f", "w"]
+WORLD, CONCEPTS = "<world>", "<concepts>"
+INT_JUNK = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["9" * 5000, "four", "1.5", ""]),
+)
+NUMBER_JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e308", "1e-320", "-0.0", "banana", "9" * 5000]),
+    INT_JUNK.filter(bool),
+)
+COUNTS = st.integers(-1, 8) | st.integers(25, 10**400)
+
+
+@st.composite
+def cli_inputs(draw):
+    clean = draw(st.booleans())
+    number = st.floats(0, 1).map(repr) if clean else st.floats(0, 1).map(repr) | NUMBER_JUNK
+    universe = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=8, unique=clean))
+    kind = draw(st.sampled_from(["independent", "instances", "exclusive", "wide", "text"]))
+    if kind == "independent":
+        world = "\n".join(["independent"] + [f"{pid} {draw(number)}" for pid in universe])
+    elif kind == "instances":
+        row = st.lists(st.sampled_from(universe + ([] if clean else [""])), max_size=4, unique=clean)
+        rows = [universe] + draw(st.lists(row, max_size=6))
+        world = "\n".join(["instances"] + [f"{','.join(r) or '-'} {draw(number)}" for r in rows])
+    elif kind == "exclusive":
+        n, m, k = draw(COUNTS), draw(COUNTS), draw(COUNTS)
+        valid = n >= 1 and m >= 1 and 0 <= k <= min(n, m)
+        assume(not (valid and 8 < n + m - k <= 24))
+        if valid and n + m - k <= 8:
+            universe = [f"p{i}" for i in range(1, n + m - k + 1)]
+        world = f"exclusive {n} {m} {k}" if clean else "exclusive " + " ".join(draw(st.lists(INT_JUNK, max_size=4)))
+    elif kind == "wide":
+        wide = [f"w{i}" for i in range(draw(st.integers(25, 40)))]
+        world = "\n".join(["independent"] + [f"{pid} 0.5" for pid in wide])
+        world = draw(st.sampled_from([world, f"instances\n{','.join(wide)} 1\n- 1"]))
+    else:
+        world = draw(st.text(max_size=200) | st.binary(max_size=200))
+
+    pool = universe if clean else universe + ["zz"]
+    lines = []
+    for name in NAMES if clean else draw(st.lists(st.sampled_from(NAMES), max_size=3)):
+        lines.append(f"concept {name}")
+        for pid in draw(st.lists(st.sampled_from(pool), min_size=int(clean), max_size=5, unique=clean)):
+            lines.append(f"property {pid} {draw(number)}")
+    concepts = "\n".join(lines)
+    if not clean and draw(st.booleans()):
+        concepts = draw(st.text(max_size=200) | st.binary(max_size=200))
+
+    command = draw(st.sampled_from(["score", "exclusive", "extensional", "interaction", "junk"]))
+    if command == "score":
+        names = st.sampled_from(NAMES if clean else NAMES + ["nope"])
+        argv = ["score", "--world", WORLD, "--concepts", CONCEPTS, "--from", draw(names), "--to", draw(names)]
+        argv += draw(st.sampled_from([[], ["--algorithmic"], ["--algorithmic", "--compressor", "identity"], ["--compressor", "nope"]]))
+    elif command == "exclusive":
+        counts = COUNTS.map(str) if clean else INT_JUNK
+        argv = ["exclusive", "--n", draw(counts), "--m", draw(counts), "--k", draw(counts)]
+    elif command == "extensional":
+        size = draw(st.integers(1, 8) if clean else COUNTS)
+        member = st.integers(1, size) if clean else st.integers(-2, 9) | st.integers(10, 10**400)
+        f, w = (",".join(map(str, draw(st.lists(member, min_size=int(clean), max_size=5)))) for _ in range(2))
+        argv = ["extensional", "--universe", str(size), "--f", f, "--w", w]
+    elif command == "interaction":
+        variables = st.lists(st.sampled_from(universe if clean else universe + ["zz", ""]), min_size=int(clean), max_size=6, unique=clean)
+        argv = ["interaction", "--world", WORLD, "--vars", ",".join(draw(variables))]
+    else:
+        argv = draw(st.lists(st.text(max_size=10), max_size=6))
+    argv += draw(st.sampled_from([[], [], ["--format", "json"], ["--format", "xml"]]))
+    return world, concepts, argv
+
+
+class TestCliContractFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(cli_inputs())
+    def test_any_input_exits_0_2_or_3(self, inputs):
+        world_text, concept_text, argv = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {WORLD: Path(tmp) / "world.txt", CONCEPTS: Path(tmp) / "concepts.txt"}
+            for path, content in ((paths[WORLD], world_text), (paths[CONCEPTS], concept_text)):
+                if isinstance(content, bytes):
+                    path.write_bytes(content)
+                else:
+                    path.write_text(content, encoding="utf-8", errors="surrogatepass")
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")  # a warning would be a stray stderr line
+                code = run([str(paths.get(a, a)) for a in argv])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err.getvalue() == ""

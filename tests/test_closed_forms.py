@@ -179,6 +179,8 @@ class TestSingletonReduction:
     def test_universe_cap(self):
         with pytest.raises(UniverseTooLarge):
             singleton_reduction_check(ExtensionalPair({1}, {2}, 25))
+        with pytest.raises(UniverseTooLarge):
+            singleton_reduction_check(ExtensionalPair({1}, {2}, 10**12))
 
     def test_empty_antecedent(self):
         with pytest.raises(EmptyAntecedent):

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -154,3 +155,32 @@ class TestLoadFiles:
         with pytest.raises(ParseError) as err:
             parse_world("independent\nx nope", source="world.txt")
         assert "world.txt:2" in str(err.value)
+
+
+class TestWideInputs:
+    """Id-heavy files are parsed, or refused, in linear time: 50,000 ids within a generous 5 s."""
+
+    N = 50_000
+    LIMIT_S = 5.0
+
+    def _timed(self, fn, text):
+        start = time.perf_counter()
+        try:
+            return fn(text)
+        finally:
+            assert time.perf_counter() - start < self.LIMIT_S
+
+    def test_wide_independent_world_refused(self):
+        text = "independent\n" + "".join(f"p{i} 0.5\n" for i in range(self.N))
+        with pytest.raises(ParseError, match="more than 24 properties"):
+            self._timed(parse_world, text)
+
+    def test_wide_instances_world_refused(self):
+        text = "instances\n" + "".join(f"p{i} 1\n" for i in range(self.N))
+        with pytest.raises(ParseError, match="more than 24 properties"):
+            self._timed(parse_world, text)
+
+    def test_wide_concept_parsed(self):
+        text = "concept c\n" + "".join(f"property p{i} 0.5\n" for i in range(self.N))
+        concept = self._timed(parse_concepts, text)["c"]
+        assert concept.ids == tuple(f"p{i}" for i in range(self.N))

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,12 +17,14 @@ from intension.errors import (
     UnknownProperty,
 )
 from intension.model import (
+    MAX_UNIVERSE,
     Concept,
     DegreeMismatchWarning,
     InstanceTable,
     WorldModel,
     build_exclusive_world,
     build_independent_world,
+    check_universe,
     degree_mismatches,
     joint_event_probability,
     world_from_instances,
@@ -45,6 +48,13 @@ class TestConcept:
         with pytest.raises(InvalidConcept):
             Concept("dup", (("a", 0.5), ("a", 0.7)))
 
+    def test_duplicate_report_is_linear(self):
+        props = tuple((f"p{i}", 0.5) for i in range(50_000)) + (("p7", 0.5),)
+        start = time.perf_counter()
+        with pytest.raises(InvalidConcept, match=r"\['p7'\]"):
+            Concept("wide", props)
+        assert time.perf_counter() - start < 5.0
+
     @pytest.mark.parametrize("degree", [-0.1, 1.1, float("nan")])
     def test_rejects_bad_degree(self, degree):
         with pytest.raises(InvalidDegree):
@@ -54,6 +64,31 @@ class TestConcept:
     def test_rejects_bad_id(self, pid):
         with pytest.raises(InvalidProperty):
             Concept("bad", ((pid, 0.5),))
+
+
+class TestCheckUniverse:
+    def test_cap_checked_before_the_ids_are_drawn(self):
+        drawn = 0
+
+        def names():
+            nonlocal drawn
+            while True:
+                drawn += 1
+                assert drawn <= MAX_UNIVERSE + 1, "drew ids past the cap"
+                yield f"v{drawn}"
+
+        with pytest.raises(UniverseTooLarge):
+            check_universe(names())
+        assert drawn == MAX_UNIVERSE + 1
+
+    def test_cap_checked_before_duplicates(self):
+        with pytest.raises(UniverseTooLarge):
+            check_universe(["a"] * (MAX_UNIVERSE + 1))
+        with pytest.raises(InvalidProperty):
+            check_universe(["a"] * MAX_UNIVERSE)
+
+    def test_accepts_a_generator_within_the_cap(self):
+        assert check_universe(f"v{i}" for i in range(MAX_UNIVERSE)) == tuple(f"v{i}" for i in range(MAX_UNIVERSE))
 
 
 class TestBuildIndependentWorld:
@@ -133,6 +168,8 @@ class TestBuildExclusiveWorld:
     def test_cap(self):
         with pytest.raises(UniverseTooLarge):
             build_exclusive_world(20, 10, 1)
+        with pytest.raises(UniverseTooLarge):
+            build_exclusive_world(10**12, 1, 0)  # refused without naming 10**12 properties
 
     def test_bad_counts(self):
         with pytest.raises(ValueError):

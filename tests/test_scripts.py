@@ -1,0 +1,21 @@
+"""The calibration scripts run against the package as it is."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_exclusive_sweep_matches_the_closed_form():
+    result = subprocess.run(
+        [sys.executable, "scripts/exclusive_sweep.py", "3"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    last = result.stdout.strip().splitlines()[-1]
+    assert last.startswith("worst |enumerated - closed form| = ")
+    assert float(last.rsplit("=", 1)[1]) <= 1e-12
