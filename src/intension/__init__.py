@@ -30,7 +30,6 @@ from .closed_forms import (
 )
 from .errors import (
     CompressorFailure,
-    ConditioningOnNull,
     EmptyAntecedent,
     EmptyTable,
     IntensionError,
@@ -62,11 +61,8 @@ from .shannon import (
     binary_entropy,
     concept_pair_entropies,
     interaction_information,
-    mutual_information,
     shannon_inheritance,
-    subset_entropy,
     total_interaction_adjustment,
-    uniform_conditional_estimate,
 )
 
 __version__ = "0.1.0"

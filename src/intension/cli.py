@@ -7,8 +7,9 @@ the enumeration engine, and `interaction` reports multivariate
 interaction information. Output is `key=value` text
 or a flat JSON object (12 significant digits, literal "undefined" /
 "skipped" / "no-overlap" strings, sorted warnings). Exit codes: 0 success,
-2 input error (diagnostic on stderr), 3 conditioning on a zero-probability
-concept (report still printed).
+2 input error (diagnostic on stderr), 3 when the antecedent has
+probability zero: the report is still printed, with the exact conditional
+"undefined".
 """
 
 from __future__ import annotations
@@ -29,15 +30,10 @@ from .closed_forms import (
     framework_discrepancy,
     singleton_reduction_check,
 )
-from .errors import ConditioningOnNull, IntensionError
+from .errors import IntensionError
 from .files import load_concepts, load_world
 from .model import Concept, WorldModel
-from .shannon import (
-    interaction_information,
-    mutual_information,
-    shannon_inheritance,
-    uniform_conditional_estimate,
-)
+from .shannon import interaction_information, shannon_inheritance
 
 SIGNIFICANT_DIGITS = 12
 UNDEFINED = "undefined"
@@ -104,22 +100,11 @@ def build_score_report(
     Returns (report, exit code); exit code 3 flags a zero-probability
     antecedent, in which case the exact conditional reads "undefined".
     """
-    extra: set[str] = set()
-    code = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            rep = shannon_inheritance(f, w, world)
-            exact: float | str = rep.exact_conditional
-            estimate = rep.estimate_conditional
-            mi = rep.mutual_information
-        except ConditioningOnNull:
-            exact = UNDEFINED
-            estimate = uniform_conditional_estimate(f, w, world)
-            mi = mutual_information(f, w, world)
-            code = 3
-    extra.update(str(item.message) for item in caught)
-    if estimate > 1.0:
+        rep = shannon_inheritance(f, w, world)
+    extra = {str(item.message) for item in caught}
+    if rep.estimate_conditional > 1.0:
         extra.add(ESTIMATE_WARNING)
 
     algo_estimate: float | str = SKIPPED
@@ -134,14 +119,14 @@ def build_score_report(
     report = InheritanceReport(
         from_concept=f.name,
         to_concept=w.name,
-        exact_conditional=exact,
-        shannon_estimate=estimate,
+        exact_conditional=UNDEFINED if rep.exact_conditional is None else rep.exact_conditional,
+        shannon_estimate=rep.estimate_conditional,
         algorithmic_estimate=algo_estimate,
-        mutual_information_shannon=mi,
+        mutual_information_shannon=rep.mutual_information,
         mutual_information_algorithmic=algo_mi,
         warnings=sorted(extra),
     )
-    return report, code
+    return report, 3 if rep.exact_conditional is None else 0
 
 
 def _cmd_score(args) -> tuple[int, str]:

@@ -15,6 +15,7 @@ verifies the reduction numerically against the enumeration engine.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import EmptyAntecedent, ZeroOverlap
@@ -37,8 +38,11 @@ def exclusive_algorithmic(params: ExclusiveCaseParams) -> tuple[float, float]:
     """
     if params.k == 0:
         raise ZeroOverlap("mutual information diverges with no shared properties")
-    mi = math.log2(params.k / params.n)
-    conditional = (params.m / params.s) * (params.k / params.n)
+    ratio = params.k / params.n
+    # log2 of the rounded ratio keeps every digit; where the ratio underflows (n past
+    # about 1e308) the difference of logs stays finite and has no digits to cancel
+    mi = math.log2(ratio) if ratio >= sys.float_info.min else math.log2(params.k) - math.log2(params.n)
+    conditional = (params.m / params.s) * ratio
     return mi, conditional
 
 

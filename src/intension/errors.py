@@ -1,8 +1,9 @@
 """Exception types raised by the library.
 
 Everything derives from IntensionError so callers can catch the whole
-family with one except clause; the CLI maps them to exit code 2 (or 3
-for ConditioningOnNull, which still produces a report).
+family with one except clause; the CLI maps them to exit code 2. A
+zero-probability antecedent is not an error: the Shannon report carries
+an undefined conditional, and the CLI exits 3.
 """
 
 
@@ -40,10 +41,6 @@ class EmptyTable(IntensionError):
 
 class SubsetTooLarge(IntensionError):
     """Variable subset exceeds the inclusion-exclusion lattice cap."""
-
-
-class ConditioningOnNull(IntensionError):
-    """Conditional requested on a concept event of probability zero."""
 
 
 class ZeroOverlap(IntensionError):

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConditioningOnNull, SubsetTooLarge
+from .errors import SubsetTooLarge
 from .model import (  # noqa: F401 -- bench/spans.py traces degree_mismatches and joint_event_probability here
     Concept,
     DegreeMismatchWarning,
@@ -50,14 +50,6 @@ def _table_entropy(probs: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def subset_entropy(vars: Sequence[str], world: WorldModel) -> float:
-    """Joint entropy of the marginal distribution over the given variables."""
-    ids = list(dict.fromkeys(vars))
-    if not ids:
-        raise ValueError("subset_entropy needs at least one variable")
-    return _table_entropy(world.marginal_table(ids))
-
-
 def _pair_entropies(joint: np.ndarray) -> tuple[float, float, float]:
     # cell sums can drift a hair past 1 in float; clamp before validating
     h_f = binary_entropy(min(1.0, float(joint[2] + joint[3])))
@@ -73,11 +65,6 @@ def _mutual_information(joint: np.ndarray) -> float:
 def concept_pair_entropies(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float]:
     """(H(F), H(W), H(F,W)) of the two concept-event indicator variables."""
     return _pair_entropies(pair_marginal(f, w, world)[2])
-
-
-def mutual_information(f: Concept, w: Concept, world: WorldModel) -> float:
-    """I(F;W) = H(F) + H(W) - H(F,W) of the concept indicators, in bits."""
-    return _mutual_information(pair_marginal(f, w, world)[2])
 
 
 @dataclass(frozen=True)
@@ -102,22 +89,23 @@ def interaction_information(vars: Iterable[str], world: WorldModel) -> Interacti
         raise ValueError(f"interaction needs at least two variables, got {t}")
     if t > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{t} variables exceeds the lattice cap of {MAX_LATTICE_VARS}")
-    value = _lattice_sum(world.marginal_table(ids), t, 1.0 if t % 2 == 1 else -1.0)
-    return InteractionReport(subset=tuple(sorted(ids)), value=value)
+    terms: list[float] = []
+    _lattice_sum(world.marginal_table(ids), t, 1.0 if t % 2 == 1 else -1.0, terms)
+    return InteractionReport(subset=tuple(sorted(ids)), value=math.fsum(terms))
 
 
-def _lattice_sum(table: np.ndarray, below: int, sign: float) -> float:
-    """sign * H(table), then the same sum with the opposite sign over each fold of one bit below `below`.
+def _lattice_sum(table: np.ndarray, below: int, sign: float, terms: list[float]) -> None:
+    """Append sign * H(table), then the same terms with the opposite sign for each fold of one bit below `below`.
 
     Every nonempty subset is reached once, its missing bits folded high to low as in `marginalize`,
     so each H(T) is the same float as a direct marginal's; from a 2**t table the walk reads about 3**(t + 1) cells.
+    The caller sums the terms exactly, so the walk order does not change the result.
     """
-    value = sign * _table_entropy(table)
+    terms.append(sign * _table_entropy(table))
     if table.size > 2:
         for bit in range(below):
             halves = table.reshape(-1, 2, 1 << bit)
-            value += _lattice_sum(halves[:, 0] + halves[:, 1], bit, -sign)
-    return value
+            _lattice_sum(halves[:, 0] + halves[:, 1], bit, -sign, terms)
 
 
 def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> float:
@@ -143,49 +131,42 @@ class ShannonInheritance:
 
     estimate_conditional = prior * 2**mutual_information; it can exceed 1
     when the uniformity simplification behind it fails, and is deliberately
-    not clamped.
+    not clamped. exact_conditional and discrepancy are None when P(F) = 0:
+    P(W|F) is undefined there, while I(F;W), the prior and the estimate are not.
     """
 
     mutual_information: float
-    exact_conditional: float
+    exact_conditional: float | None
     estimate_conditional: float
     prior: float
-    discrepancy: float
+    discrepancy: float | None
 
     @property
     def estimate_exceeds_one(self) -> bool:
         return self.estimate_conditional > 1.0
 
 
-def uniform_conditional_estimate(f: Concept, w: Concept, world: WorldModel) -> float:
-    """P(W) * 2**I(F;W), the uniformity-based conditional estimate."""
-    joint = pair_marginal(f, w, world)[2]
-    return min(1.0, float(joint[1] + joint[3])) * 2.0 ** _mutual_information(joint)
-
-
 def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInheritance:
     """Score how strongly membership in f predicts membership in w.
 
     Emits DegreeMismatchWarning for every declared degree that disagrees
-    with the world marginal beyond 1e-6; the world always wins. Raises
-    ConditioningOnNull when P(f) = 0. Makes one pass over the world.
+    with the world marginal beyond 1e-6; the world always wins. When
+    P(f) = 0 the exact conditional and the discrepancy are None. Makes one
+    pass over the world.
     """
     ids, table, joint = pair_marginal(f, w, world)
     marginals = dict(zip(ids, bit_marginals(table)))
     for message in describe_mismatches(f, marginals) + describe_mismatches(w, marginals):
         warnings.warn(message, DegreeMismatchWarning, stacklevel=2)
     p_f = min(1.0, float(joint[2] + joint[3]))
-    if p_f == 0.0:
-        raise ConditioningOnNull(f"concept {f.name!r} has probability zero")
     p_w = min(1.0, float(joint[1] + joint[3]))
-    p_fw = min(1.0, float(joint[3]))
     mi = _mutual_information(joint)
-    exact = p_fw / p_f
     estimate = p_w * 2.0 ** mi
+    exact = min(1.0, float(joint[3])) / p_f if p_f else None
     return ShannonInheritance(
         mutual_information=mi,
         exact_conditional=exact,
         estimate_conditional=estimate,
         prior=p_w,
-        discrepancy=estimate - exact,
+        discrepancy=None if exact is None else estimate - exact,
     )

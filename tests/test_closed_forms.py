@@ -91,6 +91,10 @@ class TestExclusiveAlgorithmic:
                     mi, _ = exclusive_algorithmic(ExclusiveCaseParams(n, m, k))
                     assert mi == pytest.approx(math.log2(k / n), abs=1e-12)
 
+    def test_mutual_information_keeps_its_digits_near_k_equal_n(self):
+        # log2(103) - log2(108) cancels about 7 bits; log2 of the ratio does not
+        assert exclusive_algorithmic(ExclusiveCaseParams(108, 108, 103))[0] == math.log2(103 / 108)
+
     def test_conditional_is_scaled_shannon(self):
         # the two closed forms differ by exactly the m/s factor
         for n in range(1, 9):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import concept_at, world_from_dist, worlds
+from intension.cli import build_score_report
 from intension.errors import (
     EmptyTable,
     InvalidConcept,
@@ -313,7 +314,8 @@ class TestMarginalTable:
             assert got.shape == (1 << len(ids),)
             np.testing.assert_allclose(got, bincount_marginal(world, ids), rtol=1e-12, atol=1e-15)
 
-    def test_score_reads_the_table_once(self, monkeypatch):
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
         calls = []
         original = WorldModel.marginal_table
 
@@ -324,6 +326,10 @@ class TestMarginalTable:
         monkeypatch.setattr(WorldModel, "marginal_table", counting)
         for name in ("marginal", "union_probability"):
             monkeypatch.setattr(WorldModel, name, None)  # any other pass would fail the score
+        return calls
+
+    def test_score_reads_the_table_once(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
         world = build_independent_world([f"v{i}" for i in range(8)], [0.1 * (i + 1) for i in range(8)])
         f = Concept("f", (("v0", 0.1), ("v1", 0.2), ("v2", 0.3)))
         w = Concept("w", (("v2", 0.3), ("v5", 0.9)))  # v5 is declared off its marginal
@@ -332,6 +338,16 @@ class TestMarginalTable:
         assert [str(item.message).split(":")[0] for item in caught] == ["degree-mismatch v5"]
         assert len(calls) == 1
         assert sorted(calls[0]) == ["v0", "v1", "v2", "v5"]
+
+    def test_null_antecedent_score_reads_the_table_once(self, monkeypatch):
+        world = build_independent_world([f"v{i}" for i in range(8)], [0.0] + [0.5] * 7)
+        f = concept_at(world, "f", ("v0",))
+        w = concept_at(world, "w", ("v3", "v6"))
+        calls = self.count_passes(monkeypatch)
+        report, code = build_score_report(world, f, w)
+        assert (code, report.exact_conditional) == (3, "undefined")
+        assert report.shannon_estimate == 0.75 and report.mutual_information_shannon == 0.0
+        assert len(calls) == 1
 
     def test_score_allocates_less_than_one_table(self):
         world = build_independent_world([f"v{i}" for i in range(18)], [0.3] * 18)

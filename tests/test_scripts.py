@@ -19,3 +19,19 @@ def test_exclusive_sweep_matches_the_closed_form():
     last = result.stdout.strip().splitlines()[-1]
     assert last.startswith("worst |enumerated - closed form| = ")
     assert float(last.rsplit("=", 1)[1]) <= 1e-12
+
+
+def test_compressor_noise_prints_its_statistics():
+    result = subprocess.run(
+        [sys.executable, "scripts/compressor_noise.py", "7"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    lines = result.stdout.strip().splitlines()
+    assert lines[0] == "seed=7 compressor=deflate"
+    prefixes = ["identical pairs: ", "disjoint pairs: ", "order asymmetry ", "self vs cross (<50% shared): "]
+    assert [line[: len(p)] for line, p in zip(lines[1:], prefixes)] == prefixes
+    assert len(lines) == 5

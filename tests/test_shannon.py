@@ -7,24 +7,22 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import concept_at, world_from_dist, worlds, worlds_with_concept_pair
-from intension.errors import ConditioningOnNull, InvalidDegree, SubsetTooLarge, UnknownProperty
+from intension.errors import InvalidDegree, SubsetTooLarge, UnknownProperty
 from intension.model import (
     Concept,
     DegreeMismatchWarning,
     WorldModel,
     build_exclusive_world,
     build_independent_world,
+    marginalize,
 )
 from intension.shannon import (
     INTERACTION_CONVENTION,
     binary_entropy,
     concept_pair_entropies,
     interaction_information,
-    mutual_information,
     shannon_inheritance,
-    subset_entropy,
     total_interaction_adjustment,
-    uniform_conditional_estimate,
 )
 
 TOL = 1e-9
@@ -59,29 +57,29 @@ class TestBinaryEntropy:
             binary_entropy(d)
 
 
+def marginal_entropy(ids, world):
+    """Plug-in entropy of the world's marginal table over ids."""
+    return oracles.dist_entropy(dict(enumerate(world.marginal_table(ids))))
+
+
 class TestSubsetEntropy:
     def test_single_fair_variable(self):
         world = build_independent_world(["a"], [0.5])
-        assert subset_entropy(["a"], world) == pytest.approx(1.0, abs=TOL)
+        assert marginal_entropy(["a"], world) == pytest.approx(1.0, abs=TOL)
 
     def test_independent_additivity(self):
         world = build_independent_world(["a", "b"], [0.5, 0.5])
-        assert subset_entropy(["a", "b"], world) == pytest.approx(2.0, abs=TOL)
+        assert marginal_entropy(["a", "b"], world) == pytest.approx(2.0, abs=TOL)
 
     def test_one_hot_uniform(self):
         world, _, _ = build_exclusive_world(4, 3, 2)
         # frozen log2(5)
-        assert subset_entropy(world.universe, world) == pytest.approx(2.321928094887362, abs=TOL)
+        assert marginal_entropy(world.universe, world) == pytest.approx(2.321928094887362, abs=TOL)
 
     def test_unknown_property(self):
         world = build_independent_world(["a"], [0.5])
         with pytest.raises(UnknownProperty):
-            subset_entropy(["zzz"], world)
-
-    def test_rejects_empty(self):
-        world = build_independent_world(["a"], [0.5])
-        with pytest.raises(ValueError):
-            subset_entropy([], world)
+            world.marginal_table(["zzz"])
 
 
 class TestConceptPairEntropies:
@@ -118,12 +116,12 @@ class TestMutualInformation:
         world = build_independent_world(["a", "b"], [0.3, 0.6])
         f = concept_at(world, "f", ("a",))
         w = concept_at(world, "w", ("b",))
-        assert mutual_information(f, w, world) == pytest.approx(0.0, abs=TOL)
+        assert shannon_inheritance(f, w, world).mutual_information == pytest.approx(0.0, abs=TOL)
 
     def test_self_information(self):
         world = build_independent_world(["a"], [0.3])
         c = concept_at(world, "c", ("a",))
-        assert mutual_information(c, c, world) == pytest.approx(binary_entropy(0.3), abs=TOL)
+        assert shannon_inheritance(c, c, world).mutual_information == pytest.approx(binary_entropy(0.3), abs=TOL)
 
     def test_exclusive_4_3_2_against_plugin_oracle(self):
         world, f, w = build_exclusive_world(4, 3, 2)
@@ -134,21 +132,21 @@ class TestMutualInformation:
             p * math.log2(p / ((p_f if a else 1 - p_f) * (p_w if b else 1 - p_w)))
             for (a, b), p in cells.items()
         )
-        assert mutual_information(f, w, world) == pytest.approx(expected, abs=TOL)
+        assert shannon_inheritance(f, w, world).mutual_information == pytest.approx(expected, abs=TOL)
 
     @given(worlds_with_concept_pair())
     @settings(max_examples=60)
     def test_symmetry(self, world_pair):
         world, f, w = world_pair
-        assert mutual_information(f, w, world) == pytest.approx(
-            mutual_information(w, f, world), abs=TOL
+        assert shannon_inheritance(f, w, world).mutual_information == pytest.approx(
+            shannon_inheritance(w, f, world).mutual_information, abs=TOL
         )
 
     @given(worlds_with_concept_pair())
     @settings(max_examples=60)
     def test_nonnegative_and_bounded(self, world_pair):
         world, f, w = world_pair
-        mi = mutual_information(f, w, world)
+        mi = shannon_inheritance(f, w, world).mutual_information
         h_f, h_w, _ = concept_pair_entropies(f, w, world)
         assert mi >= -TOL
         assert mi <= min(h_f, h_w) + TOL
@@ -158,7 +156,7 @@ class TestMutualInformation:
     def test_chain_identity(self, world_pair):
         world, f, w = world_pair
         h_f, h_w, h_fw = concept_pair_entropies(f, w, world)
-        assert h_fw == pytest.approx(h_f + h_w - mutual_information(f, w, world), abs=TOL)
+        assert h_fw == pytest.approx(h_f + h_w - shannon_inheritance(f, w, world).mutual_information, abs=TOL)
 
 
 class TestInteractionInformation:
@@ -184,7 +182,7 @@ class TestInteractionInformation:
         f = concept_at(world, "f", ("x",))
         w = concept_at(world, "w", ("y",))
         assert interaction_information(("x", "y"), world).value == pytest.approx(
-            mutual_information(f, w, world), abs=TOL
+            shannon_inheritance(f, w, world).mutual_information, abs=TOL
         )
 
     def test_report_fields(self):
@@ -227,6 +225,23 @@ class TestInteractionInformation:
         expected = oracles.interaction_information(dist_of(world), idx)
         value = interaction_information([world.universe[i] for i in idx], world).value
         assert value == pytest.approx(expected, abs=TOL)
+
+    @pytest.mark.parametrize("cells, t, seed", [(3, 10, 3), (3, 11, 4), (3, 12, 4), (5, 10, 1), (5, 12, 1)])
+    def test_walk_sums_to_the_subset_loop_exactly(self, cells, t, seed):
+        # t of 14 variables on a few support cells, where the large terms cancel to almost 0:
+        # every H(T) of the walk is the direct marginal's float, and fsum drops the order
+        rng = np.random.default_rng(seed)
+        weights = np.zeros(1 << 14)
+        weights[rng.choice(1 << 14, cells, replace=False)] = rng.random(cells)
+        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+        ids = [world.universe[i] for i in rng.permutation(14)[:t]]
+        table = world.marginal_table(ids)
+        terms = []
+        for subset in range(1, 1 << t):
+            part = marginalize(table, [j for j in range(t) if subset >> j & 1])
+            nz = part[part > 0]
+            terms.append((1.0 if subset.bit_count() % 2 else -1.0) * float(-(nz * np.log2(nz)).sum()))
+        assert interaction_information(ids, world).value == math.fsum(terms)
 
 
 class TestTotalInteractionAdjustment:
@@ -289,8 +304,11 @@ class TestShannonInheritance:
         world = build_independent_world(["a", "b"], [0.0, 0.5])
         f = concept_at(world, "f", ("a",))
         w = concept_at(world, "w", ("b",))
-        with pytest.raises(ConditioningOnNull):
-            shannon_inheritance(f, w, world)
+        report = shannon_inheritance(f, w, world)
+        assert report.exact_conditional is None
+        assert report.discrepancy is None
+        assert report.mutual_information == 0.0
+        assert report.prior == report.estimate_conditional == 0.5
 
     def test_estimate_exceeds_one_flagged(self):
         # two perfectly correlated properties push the estimate past 1
@@ -311,21 +329,15 @@ class TestShannonInheritance:
             report = shannon_inheritance(f, w, world)
         assert report.prior == pytest.approx(0.8, abs=TOL)
 
-    def test_estimate_helper_matches_report(self):
-        world, f, w = build_exclusive_world(3, 2, 1)
-        report = shannon_inheritance(f, w, world)
-        assert uniform_conditional_estimate(f, w, world) == report.estimate_conditional
-
     @given(worlds_with_concept_pair())
     @settings(max_examples=60)
     def test_exact_conditional_is_probability(self, world_pair):
         world, f, w = world_pair
-        try:
-            report = shannon_inheritance(f, w, world)
-        except ConditioningOnNull:
+        report = shannon_inheritance(f, w, world)
+        assert report.mutual_information >= -TOL
+        if report.exact_conditional is None:
             return
         assert -TOL <= report.exact_conditional <= 1 + TOL
-        assert report.mutual_information >= -TOL
 
     @given(st.integers(2, 6), st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -353,12 +365,12 @@ class TestOracleEquivalence:
             if p > 0
         }
         # subset entropy over the first two variables
-        assert subset_entropy(world.universe[:2], world) == pytest.approx(
+        assert marginal_entropy(world.universe[:2], world) == pytest.approx(
             oracles.entropy(dist, (0, 1)), abs=TOL
         )
         f = concept_at(world, "f", (world.universe[0],))
         w = concept_at(world, "w", (world.universe[-1],))
-        assert mutual_information(f, w, world) == pytest.approx(
+        assert shannon_inheritance(f, w, world).mutual_information == pytest.approx(
             oracles.concept_mutual_information(dist, (0,), (size - 1,)), abs=TOL
         )
 
@@ -417,14 +429,13 @@ class TestAdversarialWorlds:
             w = concept_at(world, "w", [world.universe[i] for i in w_idx])
             p_f = oracles.union_probability(dist, f_idx)
             assert math.isclose(world.union_probability(f.ids), p_f, rel_tol=1e-9)
-            mi = mutual_information(f, w, world)
+            report = shannon_inheritance(f, w, world)
+            mi = report.mutual_information
             assert mi >= -1e-12
             assert mi == pytest.approx(oracles.concept_mutual_information(dist, f_idx, w_idx), abs=1e-12)
             if p_f == 0.0:
-                with pytest.raises(ConditioningOnNull):
-                    shannon_inheritance(f, w, world)
+                assert report.exact_conditional is None
                 continue
-            report = shannon_inheritance(f, w, world)
             assert 0.0 <= report.exact_conditional <= 1.0
             assert report.mutual_information >= -1e-12
             expected = oracles.exact_conditional(dist, f_idx, w_idx)
