@@ -1,15 +1,13 @@
 """Concepts, property universes, and exact world models.
 
 A concept is a named, weighted set of binary properties. A world model is
-an explicit joint distribution over all property variables, stored as a
-table of 2**s probabilities indexed by bitmask (bit i set means property i
-of the universe holds). Every probabilistic quantity in the library is
-computed from such a table by exact enumeration, which is why the universe
-is capped at 24 variables.
-
-Every query reads the table in one pass of `marginalize`, a fold over
-views, and no mask or index array is kept next to it. A concept pair needs
-one pass in all: every pair quantity is read off `pair_marginal`'s table.
+an exact joint distribution over all property variables, indexed by
+bitmask (bit i set means property i of the universe holds). A world is
+dense, a product or a set of support rows (see `WorldModel`), and answers
+each query from that structure: only a dense world keeps 2**s cells, and
+the others build that table lazily, the first time `probs` is read. The
+universe stays capped at 24 variables. A concept pair needs one query:
+every pair quantity is read off `pair_marginal`'s table.
 
 A concept's event is the union (disjunction) of its property events: "x is
 the concept" means x holds at least one of the concept's properties. This
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Collection, Iterable, Mapping, Sequence
@@ -116,16 +114,21 @@ class Concept:
 
 @dataclass(frozen=True, eq=False)
 class WorldModel:
-    """Joint distribution over s binary property variables.
+    """Joint distribution over s binary property variables, in one of three kinds.
 
-    probs[mask] is the probability of the assignment where property i of
-    the universe holds iff bit i of mask is set. The table is normalized
-    once at construction and then frozen (read-only array); instances are
-    safe to share across threads.
+    A dense world (`from_weights`) holds its normalized table and folds it
+    per query; a product world (`build_independent_world`) holds s marginals
+    and multiplies those asked for; a support-row world (`build_exclusive_world`,
+    `world_from_instances`) holds row bitmasks and raw weights and makes one
+    `np.bincount` per query. probs[mask] is the probability of the assignment
+    where property i holds iff bit i of mask is set; the two structured kinds
+    build it on first read. Every kind keeps the 24-property cap. Tables are
+    read-only; instances are safe to share across threads.
     """
 
     universe: tuple[str, ...]
-    probs: np.ndarray
+    _marginals: np.ndarray | None = field(default=None, repr=False)  # product world: P(property i) at position i
+    _rows: tuple[np.ndarray, np.ndarray, float] | None = field(default=None, repr=False)  # masks, raw weights, total
 
     @classmethod
     def from_weights(cls, universe: Sequence[str], weights: Sequence[float] | np.ndarray) -> "WorldModel":
@@ -139,17 +142,37 @@ class WorldModel:
             raise ValueError("weights must be finite")
         if lo < 0:
             raise ValueError("weights must be nonnegative")
-        with np.errstate(over="ignore"):
-            total = float(w.sum())
-        if not math.isfinite(total):
-            raise ValueError("total weight overflows a double")
-        if total <= 0.0:
-            raise EmptyTable("total weight must be positive")
-        probs = w / total
+        probs = w / _checked_total(w)
         probs.setflags(write=False)
-        world = cls(universe, probs)
+        world = cls(universe)
+        vars(world)["probs"] = probs  # a dense world's table is its cached probs from the start
         assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
         return world
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The dense table of 2**s probabilities, built on first read for a product or support-row world."""
+        s = len(self.universe)
+        weights = self._kept(range(s)) if self._rows is None else np.bincount(*self._rows[:2], minlength=1 << s)
+        return WorldModel.from_weights(self.universe, weights).probs
+
+    def _kept(self, positions: Collection[int]) -> np.ndarray:
+        """Marginal onto the given universe positions, bit k for the k-th lowest, read from the world's own structure."""
+        ordered = sorted(positions)
+        if self._marginals is not None:
+            table = np.array([1.0])
+            for mu in self._marginals[ordered]:
+                table = np.concatenate([table * (1.0 - mu), table * mu])
+            return table
+        if self._rows is not None:
+            masks, weights, total = self._rows
+            key = np.zeros(len(masks), dtype=np.int64)
+            for k, pos in enumerate(ordered):
+                key |= ((masks >> pos) & 1) << k
+            kept = np.bincount(key, weights, minlength=1 << len(ordered))
+            kept /= total  # after summing raw weights, and in place: a request for every property is 2**s cells
+            return kept
+        return marginalize(self.probs, set(ordered))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -165,29 +188,40 @@ class WorldModel:
     def marginal(self, pid: str) -> float:
         """P(property holds)."""
         # min() guards against float accumulation drifting a hair past 1
-        return min(1.0, float(marginalize(self.probs, {self.bit(pid)})[1]))
+        return min(1.0, float(self._kept({self.bit(pid)})[1]))
 
     def union_probability(self, ids: Iterable[str]) -> float:
         """P(at least one of the given properties holds); 0 for no properties."""
-        kept = marginalize(self.probs, {self.bit(p) for p in ids})
+        kept = self._kept({self.bit(p) for p in ids})
         return min(1.0, float(kept[1:].sum()))
 
     def marginal_table(self, ids: Sequence[str]) -> np.ndarray:
         """Joint marginal over the given variables, in the order given.
 
         Returns a table of 2**len(ids) probabilities; bit j of the index
-        corresponds to ids[j]. One fold pass over the full table, then a
+        corresponds to ids[j]. One query of the world's structure, then a
         transpose of the small kept table; the result may be a read-only view.
         """
         positions = [self.bit(p) for p in ids]
         if len(set(positions)) != len(positions):
             raise ValueError(f"duplicate ids in marginal request: {tuple(ids)}")
-        kept = marginalize(self.probs, set(positions))
+        kept = self._kept(positions)
         # kept bit k is the k-th lowest position; C-order axis a is bit n-1-a
         n = len(positions)
         rank = {pos: k for k, pos in enumerate(sorted(positions))}
         axes = [n - 1 - rank[pos] for pos in reversed(positions)]
         return kept.reshape((2,) * n).transpose(axes).reshape(-1)
+
+
+def _checked_total(weights: np.ndarray) -> float:
+    """Sum of nonnegative weights; refused when it overflows a double or is not positive."""
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if not math.isfinite(total):
+        raise ValueError("total weight overflows a double")
+    if total <= 0.0:
+        raise EmptyTable("total weight must be positive")
+    return total
 
 
 def marginalize(table: np.ndarray, keep: Collection[int]) -> np.ndarray:
@@ -215,33 +249,36 @@ def bit_marginals(table: np.ndarray) -> list[float]:
 
 @dataclass(frozen=True)
 class InstanceTable:
-    """Weighted rows of property assignments, one bitmask per row."""
+    """Weighted rows of property assignments, one bitmask per row, kept as a mask array and a weight array."""
 
     universe: tuple[str, ...]
     rows: tuple[tuple[int, float], ...]
+    masks: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "universe", check_universe(self.universe))
-        top = 1 << len(self.universe)
-        for mask, weight in self.rows:
-            if not 0 <= mask < top:
-                raise ValueError(f"row mask {mask} out of range for {len(self.universe)} properties")
-            if not np.isfinite(weight) or weight < 0:
-                raise ValueError(f"row weight must be finite and nonnegative, got {weight!r}")
-        if not any(weight > 0 for _, weight in self.rows):
+        masks, weights = zip(*self.rows) if self.rows else ((), ())
+        m = np.asarray(masks)  # an object array when a mask does not fit 64 bits
+        bad = (m < 0) | (m >= 1 << len(self.universe))
+        if bad.any():
+            raise ValueError(f"row mask {m[bad.argmax()]} out of range for {len(self.universe)} properties")
+        w = np.array(weights, dtype=np.float64)
+        bad = ~(np.isfinite(w) & (w >= 0))
+        if bad.any():
+            raise ValueError(f"row weight must be finite and nonnegative, got {weights[bad.argmax()]!r}")
+        if not (w > 0).any():
             raise EmptyTable("instance table needs at least one row with positive weight")
+        object.__setattr__(self, "masks", m.astype(np.int64))
+        object.__setattr__(self, "weights", w)
 
 
 def build_independent_world(universe: Sequence[str], marginals: Sequence[float]) -> WorldModel:
-    """Product distribution with the given per-property marginals."""
+    """Product world with the given per-property marginals."""
     universe = check_universe(universe)
     if len(universe) != len(marginals):
         raise ValueError(f"{len(universe)} ids but {len(marginals)} marginals")
-    probs = np.array([1.0])
-    for mu in marginals:
-        mu = check_degree(mu, "marginal")
-        probs = np.concatenate([probs * (1.0 - mu), probs * mu])
-    return WorldModel.from_weights(universe, probs)
+    return WorldModel(universe, _marginals=np.array([check_degree(mu, "marginal") for mu in marginals]))
 
 
 @dataclass(frozen=True)
@@ -270,7 +307,7 @@ class ExclusiveCaseParams:
 
 
 def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, Concept]:
-    """One-hot world for two concepts with k shared properties.
+    """One-hot support-row world for two concepts with k shared properties.
 
     The universe has s = n + m - k properties named p1..ps; exactly one
     holds at a time, each with probability 1/s. The first concept owns
@@ -278,18 +315,15 @@ def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, 
     """
     params = ExclusiveCaseParams(n, m, k)
     universe = check_universe(f"p{i + 1}" for i in range(params.s))
-    weights = np.zeros(1 << params.s)
-    weights[1 << np.arange(params.s)] = 1.0
-    world = WorldModel.from_weights(universe, weights)
+    world = world_from_instances(InstanceTable(universe, tuple((1 << i, 1.0) for i in range(params.s))))
     f = Concept("F", tuple((pid, params.p) for pid in universe[:n]))
     w = Concept("W", tuple((pid, params.p) for pid in universe[-m:]))
     return world, f, w
 
 
 def world_from_instances(table: InstanceTable) -> WorldModel:
-    """World whose mass at each assignment is the table's normalized weight; rows add in order."""
-    masks, weights = zip(*table.rows)
-    return WorldModel.from_weights(table.universe, np.bincount(masks, weights, minlength=1 << len(table.universe)))
+    """Support-row world whose mass at each assignment is the table's normalized weight; rows add in order."""
+    return WorldModel(table.universe, _rows=(table.masks, table.weights, _checked_total(table.weights)))
 
 
 def pair_marginal(f: Concept, w: Concept, world: WorldModel) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

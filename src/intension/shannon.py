@@ -1,7 +1,7 @@
 """Entropies, mutual information, and the Shannon inheritance estimate.
 
 All quantities are base-2 (bits) with the 0*log 0 = 0 convention, computed
-exactly from a WorldModel's probability table. The multivariate interaction
+exactly from a WorldModel's marginal tables. The multivariate interaction
 measure uses the McGill inclusion-exclusion convention over subset
 entropies, anchored so that two variables give ordinary nonnegative mutual
 information and the 3-variable parity (XOR) world gives -1 bit.

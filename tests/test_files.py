@@ -129,6 +129,12 @@ class TestParseWorld:
         with pytest.raises(ParseError):
             parse_world("instances\na 0")
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_instances_nonfinite_weight(self, weight):
+        with pytest.raises(ParseError, match=f"row weight must be finite and nonnegative, got {weight}") as err:
+            parse_world(f"instances\na 1\nb {weight}")
+        assert err.value.line == 1
+
     def test_instances_bad_weight(self):
         with pytest.raises(ParseError) as err:
             parse_world("instances\na heavy")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import concept_at, world_from_dist, worlds
 from intension.cli import build_score_report
+from intension.closed_forms import ExtensionalPair, singleton_reduction_check
 from intension.errors import (
     EmptyTable,
     InvalidConcept,
@@ -17,6 +18,7 @@ from intension.errors import (
     UniverseTooLarge,
     UnknownProperty,
 )
+from intension.files import parse_world
 from intension.model import (
     MAX_UNIVERSE,
     Concept,
@@ -202,6 +204,20 @@ class TestWorldFromInstances:
         with pytest.raises(UniverseTooLarge):
             InstanceTable(universe, (((1 << 40) - 1, 1.0), (0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((1, 1.0), (-1, 1.0), (9, 1.0)), "row mask -1 out of range for 3 properties"),
+            (((8, 1.0), (1, float("inf"))), "row mask 8 out of range"),
+            (((1, 1.0), (1 << 70, 1.0)), f"row mask {1 << 70} out of range"),
+            (((1, 1.0), (2, float("nan")), (3, -2.0)), "finite and nonnegative, got nan"),
+            (((1, 1.0), (2, -2)), "finite and nonnegative, got -2$"),
+        ],
+    )
+    def test_bad_row_named_in_row_order(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            InstanceTable(("a", "b", "c"), rows)
+
     def test_duplicate_masks_accumulate(self):
         table = InstanceTable(("a",), ((1, 1.0), (1, 1.0), (0, 2.0)))
         world = world_from_instances(table)
@@ -301,18 +317,61 @@ def random_world(size, seed):
     return WorldModel.from_weights(tuple(f"v{i}" for i in range(size)), weights)
 
 
+def world_of_kind(kind, size, seed):
+    """A world of the given kind over `size` properties, drawn from the seed."""
+    if kind == "dense":
+        return random_world(size, seed)
+    rng = np.random.default_rng(seed)
+    universe = tuple(f"v{i}" for i in range(size))
+    if kind == "independent":
+        marginals = rng.random(size)
+        marginals[rng.random(size) < 0.2] = rng.integers(0, 2)  # some certain or impossible properties
+        return build_independent_world(universe, marginals.tolist())
+    if kind == "exclusive":
+        n = int(rng.integers(1, size + 1))
+        k = int(rng.integers(n == size, n + 1))  # s = n + m - k with m = size - n + k >= 1
+        return build_exclusive_world(n, size - n + k, k)[0]
+    n_rows = int(rng.integers(1, 60))
+    masks = rng.choice(rng.integers(0, 1 << size, 8), n_rows)  # at most 8 distinct masks, so masks repeat
+    weights = rng.random(n_rows) * (rng.random(n_rows) > 0.3)  # about 30% zero-weight rows
+    weights[0] += 1.0
+    return world_from_instances(InstanceTable(universe, tuple(zip(masks.tolist(), weights.tolist()))))
+
+
 class TestMarginalTable:
-    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
-    @settings(max_examples=80)
-    def test_matches_bincount_reference(self, size, seed, rng):
-        world = random_world(size, seed)
+    @given(
+        st.sampled_from(["dense", "independent", "exclusive", "instances"]),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=240)
+    def test_matches_bincount_reference(self, kind, size, seed, rng):
+        world = world_of_kind(kind, size, seed)
         order = list(world.universe)
         rng.shuffle(order)
         requests = [order[: rng.randint(1, size)], order[:1], order, list(world.universe)]
-        for ids in requests:
-            got = world.marginal_table(ids)
+        tables = [world.marginal_table(ids) for ids in requests]  # before the reference densifies the world
+        for ids, got in zip(requests, tables):
             assert got.shape == (1 << len(ids),)
             np.testing.assert_allclose(got, bincount_marginal(world, ids), rtol=1e-12, atol=1e-15)
+
+    def test_structured_worlds_never_build_the_table(self):
+        tracemalloc.start()
+        try:
+            independent = parse_world("independent\n" + "".join(f"v{i} {0.1 + 0.03 * i!r}\n" for i in range(24)))
+            exclusive = parse_world("exclusive 12 12 0\n")
+            extensional, intensional = singleton_reduction_check(ExtensionalPair({1, 2}, {2, 3}, 24))
+            for world in (independent, exclusive):
+                ids = world.universe[7:17]
+                report, code = build_score_report(world, concept_at(world, "f", ids[:6]), concept_at(world, "w", ids[4:]))
+                assert code == 0 and report.warnings == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert extensional == 0.5 and intensional == pytest.approx(0.5, abs=1e-12)
+        assert peak < (8 << 24) // 4, f"peak {peak / 2**20:.1f} MiB"
+        assert "probs" not in vars(independent) and "probs" not in vars(exclusive)
 
     @staticmethod
     def count_passes(monkeypatch) -> list:
