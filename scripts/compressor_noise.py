@@ -11,8 +11,9 @@ Usage: python scripts/compressor_noise.py [seed]
 
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from intension.algorithmic import algorithmic_inheritance, estimate_complexities, deflate_compressor
 from intension.model import Concept

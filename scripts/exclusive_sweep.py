@@ -10,8 +10,9 @@ Usage: python scripts/exclusive_sweep.py [max_count]
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from intension.closed_forms import (
     ExclusiveCaseParams,

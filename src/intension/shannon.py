@@ -34,6 +34,7 @@ from .model import (  # noqa: F401 -- bench/spans.py traces degree_mismatches an
 )
 
 MAX_LATTICE_VARS = 12
+_CHUNK = 1 << 15  # cells per scratch array in the lattice entropies
 INTERACTION_CONVENTION = "McGill-inclusion-exclusion"
 
 
@@ -89,23 +90,42 @@ def interaction_information(vars: Iterable[str], world: WorldModel) -> Interacti
         raise ValueError(f"interaction needs at least two variables, got {t}")
     if t > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{t} variables exceeds the lattice cap of {MAX_LATTICE_VARS}")
-    terms: list[float] = []
-    _lattice_sum(world.marginal_table(ids), t, 1.0 if t % 2 == 1 else -1.0, terms)
-    return InteractionReport(subset=tuple(sorted(ids)), value=math.fsum(terms))
+    return InteractionReport(subset=tuple(sorted(ids)), value=math.fsum(_lattice_terms(world.marginal_table(ids), t)))
 
 
-def _lattice_sum(table: np.ndarray, below: int, sign: float, terms: list[float]) -> None:
-    """Append sign * H(table), then the same terms with the opposite sign for each fold of one bit below `below`.
+def _lattice_terms(table: np.ndarray, t: int) -> np.ndarray:
+    """(-1)**(|T|+1) * H(T) for every nonempty subset T of the bits of a 2**t table, in no particular order.
 
-    Every nonempty subset is reached once, its missing bits folded high to low as in `marginalize`,
-    so each H(T) is the same float as a direct marginal's; from a 2**t table the walk reads about 3**(t + 1) cells.
-    The caller sums the terms exactly, so the walk order does not change the result.
+    Folds level by level in one 3**t buffer (4 MiB at t=12): at bit j every table so far still holds bits 0..j in place,
+    so one reshape halves them all and appends the halves. Each subset's bits are folded high to low as in
+    `marginalize`, so each H(T) is the same float as a direct marginal's. The caller sums the terms exactly.
     """
-    terms.append(sign * _table_entropy(table))
-    if table.size > 2:
-        for bit in range(below):
-            halves = table.reshape(-1, 2, 1 << bit)
-            _lattice_sum(halves[:, 0] + halves[:, 1], bit, -sign, terms)
+    buf, n = np.empty(3**t), 1 << t
+    buf[:n] = table
+    sizes, signs = np.array([n]), np.array([1.0 if t % 2 else -1.0])
+    for bit in reversed(range(t)):
+        # below bit 4 a run of 2**bit cells is too short for a ufunc loop call each: loop down the runs instead
+        halves, out = buf[:n].reshape(-1, 2, 1 << bit).T, buf[n : n + n // 2].reshape(-1, 1 << bit).T
+        np.add(halves[:, 0], halves[:, 1], out=out, order="C" if bit < 4 else "K")
+        n, sizes, signs = n + n // 2, np.concatenate([sizes, sizes // 2]), np.concatenate([signs, -signs])
+    # pack each table's nonzero p*log2(p) to the front in place, a run of whole tables at a time
+    edges, counts, packed = np.concatenate([[0], np.cumsum(sizes)]), np.empty_like(sizes), 0
+    runs = [*np.searchsorted(edges, range(0, n, _CHUNK)), sizes.size]
+    for first, last in zip(runs, runs[1:]):
+        cells = buf[edges[first] : edges[last]]
+        keep = cells > 0
+        counts[first:last] = np.add.reduceat(keep, edges[first:last] - edges[first], dtype=counts.dtype)
+        nz = cells[keep]
+        buf[packed : packed + nz.size] = nz * np.log2(nz)
+        packed += nz.size
+    # a row sum is bit-identical to np.sum of the row alone, so each H(T) sums its rows of one length;
+    # the last table is the empty subset's single cell
+    starts, counts, terms = np.cumsum(counts) - counts, counts[:-1], []
+    for m in np.unique(counts):
+        rows = np.flatnonzero(counts == m)
+        for part in np.array_split(rows, -(-rows.size * m // _CHUNK)):
+            terms.append(-signs[part] * buf[starts[part, None] + np.arange(m)].sum(axis=1))
+    return np.concatenate(terms)
 
 
 def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> float:

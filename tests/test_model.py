@@ -32,7 +32,7 @@ from intension.model import (
     joint_event_probability,
     world_from_instances,
 )
-from intension.shannon import shannon_inheritance
+from intension.shannon import interaction_information, shannon_inheritance
 
 TOL = 1e-12
 
@@ -407,6 +407,12 @@ class TestMarginalTable:
         assert (code, report.exact_conditional) == (3, "undefined")
         assert report.shannon_estimate == 0.75 and report.mutual_information_shannon == 0.0
         assert len(calls) == 1
+
+    def test_interaction_reads_the_table_once(self, monkeypatch):
+        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(6)), np.arange(1.0, 65.0))
+        calls = self.count_passes(monkeypatch)
+        interaction_information(("v4", "v0", "v2", "v5"), world)
+        assert calls == [("v4", "v0", "v2", "v5")]
 
     def test_score_allocates_less_than_one_table(self):
         world = build_independent_world([f"v{i}" for i in range(18)], [0.3] * 18)

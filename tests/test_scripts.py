@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -35,3 +37,16 @@ def test_compressor_noise_prints_its_statistics():
     prefixes = ["identical pairs: ", "disjoint pairs: ", "order asymmetry ", "self vs cross (<50% shared): "]
     assert [line[: len(p)] for line, p in zip(lines[1:], prefixes)] == prefixes
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("script, arg", [("exclusive_sweep.py", "2"), ("compressor_noise.py", "7")])
+def test_scripts_run_from_any_directory(script, arg, tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), arg],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ from intension.shannon import (
 )
 
 TOL = 1e-9
+
+
+def subset_loop_interaction(ids, world):
+    """McGill sum over one direct marginal per subset, each H(T) the np.sum of its nonzero -p*log2(p)."""
+    t = len(ids)
+    table = world.marginal_table(ids)
+    terms = []
+    for subset in range(1, 1 << t):
+        part = marginalize(table, [j for j in range(t) if subset >> j & 1])
+        nz = part[part > 0]
+        terms.append((1.0 if subset.bit_count() % 2 else -1.0) * float(-(nz * np.log2(nz)).sum()))
+    return math.fsum(terms)
 
 
 def xor_world():
@@ -235,13 +248,35 @@ class TestInteractionInformation:
         weights[rng.choice(1 << 14, cells, replace=False)] = rng.random(cells)
         world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
         ids = [world.universe[i] for i in rng.permutation(14)[:t]]
-        table = world.marginal_table(ids)
-        terms = []
-        for subset in range(1, 1 << t):
-            part = marginalize(table, [j for j in range(t) if subset >> j & 1])
-            nz = part[part > 0]
-            terms.append((1.0 if subset.bit_count() % 2 else -1.0) * float(-(nz * np.log2(nz)).sum()))
-        assert interaction_information(ids, world).value == math.fsum(terms)
+        assert interaction_information(ids, world).value == subset_loop_interaction(ids, world)
+
+    @pytest.mark.parametrize("t", [2, 5, 9, 12])
+    @pytest.mark.parametrize("kind", ["dense", "30%-zeros", "parity-and-copy"])
+    def test_fold_sums_to_the_subset_loop_exactly(self, kind, t):
+        # t of 14 variables in shuffled order; the parity world holds a 12-bit XOR block and a copied pair
+        rng = np.random.default_rng(t)
+        if kind == "parity-and-copy":
+            cells = np.arange(1 << 14)
+            even = np.array([bin(c & 0xFFF).count("1") % 2 == 0 for c in cells])
+            weights = even * np.select([cells >> 12 == 0, cells >> 12 == 3], [0.7, 0.3], 0.0)
+        else:
+            weights = rng.random(1 << 14) * (rng.random(1 << 14) > (0.3 if kind == "30%-zeros" else 0.0))
+        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+        ids = [world.universe[i] for i in rng.permutation(14)[:t]]
+        assert interaction_information(ids, world).value == subset_loop_interaction(ids, world)
+
+    def test_lattice_allocates_a_bounded_buffer(self):
+        # the 3**12-cell fold buffer is 4 MiB; the scratch around it stays small
+        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), np.random.default_rng(0).random(1 << 14))
+        ids = list(world.universe[:12])
+        interaction_information(ids, world)
+        tracemalloc.start()
+        try:
+            interaction_information(ids, world)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 class TestTotalInteractionAdjustment:
