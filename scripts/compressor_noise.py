@@ -20,6 +20,7 @@ from intension.model import Concept
 
 
 def random_concept(rng, name, n_props, taken=(), id_len=8):
+    """Concept with fresh random ids and degrees; avoids ids in `taken`. The tests draw their concepts here too."""
     ids = set()
     avoid = set(taken)
     while len(ids) < n_props:

@@ -105,12 +105,6 @@ class Concept:
     def ids(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.properties)
 
-    def degree(self, pid: str) -> float:
-        for p, d in self.properties:
-            if p == pid:
-                return d
-        raise UnknownProperty(f"concept {self.name!r} has no property {pid!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class WorldModel:

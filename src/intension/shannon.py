@@ -34,7 +34,7 @@ from .model import (  # noqa: F401 -- bench/spans.py traces degree_mismatches an
 )
 
 MAX_LATTICE_VARS = 12
-_CHUNK = 1 << 15  # cells per scratch array in the lattice entropies
+_CHUNK = 1 << 16  # cells per scratch array in the lattice entropies
 INTERACTION_CONVENTION = "McGill-inclusion-exclusion"
 
 
@@ -93,39 +93,78 @@ def interaction_information(vars: Iterable[str], world: WorldModel) -> Interacti
     return InteractionReport(subset=tuple(sorted(ids)), value=math.fsum(_lattice_terms(world.marginal_table(ids), t)))
 
 
-def _lattice_terms(table: np.ndarray, t: int) -> np.ndarray:
+def _lattice_terms(table: np.ndarray, t: int) -> list[float]:
     """(-1)**(|T|+1) * H(T) for every nonempty subset T of the bits of a 2**t table, in no particular order.
 
-    Folds level by level in one 3**t buffer (4 MiB at t=12): at bit j every table so far still holds bits 0..j in place,
-    so one reshape halves them all and appends the halves. Each subset's bits are folded high to low as in
-    `marginalize`, so each H(T) is the same float as a direct marginal's. The caller sums the terms exactly.
+    One 3**t buffer (4 MiB at t=12) holds the lattice level by level: level L is one C(t, L) x 2**(t-L) block of the
+    tables with L bits folded, its rows ordered by their lowest folded bit, highest first. The tables that may still
+    fold bit j (all their folded bits above j) are then a prefix of each level, so at bit j one reshape per level
+    halves them and appends the halves to the next level. Each subset's bits are folded high to low as in
+    `marginalize`, so each H(T) is the same float as a direct marginal's. Rows with no zero are summed as rows of
+    their level's block; only the rows that hold a zero, from all levels, have their nonzero cells packed and are
+    summed in one pass, rows of equal count together. Either way numpy sums a row exactly as it sums that row alone.
+    The caller sums the terms exactly.
     """
-    buf, n = np.empty(3**t), 1 << t
-    buf[:n] = table
-    sizes, signs = np.array([n]), np.array([1.0 if t % 2 else -1.0])
+    rows = [math.comb(t, level) for level in range(t + 1)]
+    starts = np.cumsum([0] + [r << (t - level) for level, r in enumerate(rows)]).tolist()
+    buf, filled = np.empty(3**t), [1] + [0] * t
+    buf[: 1 << t] = table
     for bit in reversed(range(t)):
-        # below bit 4 a run of 2**bit cells is too short for a ufunc loop call each: loop down the runs instead
-        halves, out = buf[:n].reshape(-1, 2, 1 << bit).T, buf[n : n + n // 2].reshape(-1, 1 << bit).T
-        np.add(halves[:, 0], halves[:, 1], out=out, order="C" if bit < 4 else "K")
-        n, sizes, signs = n + n // 2, np.concatenate([sizes, sizes // 2]), np.concatenate([signs, -signs])
-    # pack each table's nonzero p*log2(p) to the front in place, a run of whole tables at a time
-    edges, counts, packed = np.concatenate([[0], np.cumsum(sizes)]), np.empty_like(sizes), 0
-    runs = [*np.searchsorted(edges, range(0, n, _CHUNK)), sizes.size]
-    for first, last in zip(runs, runs[1:]):
-        cells = buf[edges[first] : edges[last]]
-        keep = cells > 0
-        counts[first:last] = np.add.reduceat(keep, edges[first:last] - edges[first], dtype=counts.dtype)
-        nz = cells[keep]
-        buf[packed : packed + nz.size] = nz * np.log2(nz)
-        packed += nz.size
-    # a row sum is bit-identical to np.sum of the row alone, so each H(T) sums its rows of one length;
-    # the last table is the empty subset's single cell
-    starts, counts, terms = np.cumsum(counts) - counts, counts[:-1], []
-    for m in np.unique(counts):
-        rows = np.flatnonzero(counts == m)
-        for part in np.array_split(rows, -(-rows.size * m // _CHUNK)):
-            terms.append(-signs[part] * buf[starts[part, None] + np.arange(m)].sum(axis=1))
-    return np.concatenate(terms)
+        for level in reversed(range(t - bit)):
+            n, at = filled[level] << (t - level), starts[level + 1] + (filled[level + 1] << (t - level - 1))
+            # below bit 4 a run of 2**bit cells is too short for a ufunc loop call each: loop down the runs instead
+            halves = buf[starts[level] : starts[level] + n].reshape(-1, 2, 1 << bit).T
+            out = buf[at : at + n // 2].reshape(-1, 1 << bit).T
+            np.add(halves[:, 0], halves[:, 1], out=out, order="C" if bit < 4 else "K")
+            filled[level + 1] += filled[level]
+    levels = [buf[starts[level] : starts[level + 1]].reshape(rows[level], -1) for level in range(t)]
+    # a fold adds nonnegative cells, so a table with no zero folds only into tables with no zero: the levels where no
+    # row holds a zero are the highest ones, and below them come the levels where some row holds none
+    clean = t
+    while clean and levels[clean - 1].min() > 0:
+        clean -= 1
+    held = {}  # the rows that hold a zero, on each level below `clean` down to the first where all do (as all below do)
+    for level in reversed(range(clean)):
+        held[level] = ~(levels[level] > 0).all(axis=1)
+        if held[level].all():
+            break
+    terms, counts, signs, packed = [], [], [], 0
+    for level, block in enumerate(levels):
+        sign, step = (-1.0) ** (t - level), max(1, _CHUNK >> (t - level))
+        for first in range(0, rows[level], step):
+            part = block[first : first + step]
+            if level >= clean:
+                terms.append(sign * _plogp_row_sums(part))
+                continue
+            keep = part > 0
+            zero = held[level][first : first + step] if level in held else None
+            if zero is not None and not zero.all():
+                terms.append(sign * _plogp_row_sums(part[~zero]))
+                keep &= zero[:, None]
+            # pack the nonzero p*log2(p) of the rows with a zero to the front of the buffer, never past the unread cells
+            idx = np.flatnonzero(keep)
+            nz, out = part.ravel()[idx], buf[packed : packed + idx.size]
+            np.log2(nz, out=out)
+            out *= nz
+            packed += idx.size
+            count = np.diff(np.searchsorted(idx, np.arange(0, keep.size + 1, keep.shape[1])))
+            counts.append(count if zero is None else count[zero])
+            signs.append(sign)
+    if counts:
+        signs, counts = np.repeat(signs, [c.size for c in counts]), np.concatenate(counts)
+        begins = np.cumsum(counts) - counts
+        for m in np.flatnonzero(np.bincount(counts)):
+            same, step = np.flatnonzero(counts == m), max(1, _CHUNK // m)
+            for first in range(0, same.size, step):
+                part = same[first : first + step]
+                terms.append(signs[part] * buf[begins[part, None] + np.arange(m)].sum(axis=1))
+    return np.concatenate(terms).tolist()
+
+
+def _plogp_row_sums(rows: np.ndarray) -> np.ndarray:
+    x = np.log2(rows)
+    x *= rows
+    return x.sum(axis=1)
 
 
 def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> float:

@@ -1,7 +1,7 @@
 import random
-import string
 
 import numpy as np
+from compressor_noise import random_concept  # scripts/ is on the pytest path: one copy for tests and script
 from hypothesis import strategies as st
 
 from intension.model import Concept, WorldModel
@@ -19,18 +19,6 @@ def world_from_dist(universe, dist):
 def concept_at(world, name, ids):
     """Concept whose declared degrees match the world marginals exactly."""
     return Concept(name, tuple((pid, world.marginal(pid)) for pid in ids))
-
-
-def random_concept(rng: random.Random, name, n_props, taken=(), id_len=8):
-    """Concept with fresh random ids and degrees; avoids ids in `taken`."""
-    ids = set()
-    avoid = set(taken)
-    while len(ids) < n_props:
-        candidate = "".join(rng.choice(string.ascii_lowercase) for _ in range(id_len))
-        if candidate not in avoid:
-            ids.add(candidate)
-            avoid.add(candidate)
-    return Concept(name, tuple((pid, rng.random()) for pid in sorted(ids)))
 
 
 def overlapping_pair(rng: random.Random, n_props, shared):

@@ -23,7 +23,7 @@ class TestParseConcepts:
         """
         concepts = parse_concepts(text)
         assert set(concepts) == {"bird", "penguin"}
-        assert concepts["bird"].degree("flies") == 0.9
+        assert dict(concepts["bird"].properties)["flies"] == 0.9
 
     def test_property_before_header(self):
         with pytest.raises(ParseError) as err:

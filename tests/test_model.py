@@ -41,7 +41,7 @@ class TestConcept:
     def test_holds_pairs(self):
         c = Concept("bird", (("beak", 1.0), ("flies", 0.9)))
         assert c.ids == ("beak", "flies")
-        assert c.degree("flies") == 0.9
+        assert dict(c.properties)["flies"] == 0.9
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidConcept):

@@ -19,6 +19,7 @@ from intension.model import (
 )
 from intension.shannon import (
     INTERACTION_CONVENTION,
+    _lattice_terms,
     binary_entropy,
     concept_pair_entropies,
     interaction_information,
@@ -29,8 +30,8 @@ from intension.shannon import (
 TOL = 1e-9
 
 
-def subset_loop_interaction(ids, world):
-    """McGill sum over one direct marginal per subset, each H(T) the np.sum of its nonzero -p*log2(p)."""
+def subset_loop_terms(ids, world):
+    """Signed (-1)**(|T|+1) * H(T) per nonempty subset, each from a direct marginal as np.sum of its -p*log2(p)."""
     t = len(ids)
     table = world.marginal_table(ids)
     terms = []
@@ -38,7 +39,20 @@ def subset_loop_interaction(ids, world):
         part = marginalize(table, [j for j in range(t) if subset >> j & 1])
         nz = part[part > 0]
         terms.append((1.0 if subset.bit_count() % 2 else -1.0) * float(-(nz * np.log2(nz)).sum()))
-    return math.fsum(terms)
+    return terms
+
+
+def subset_loop_interaction(ids, world):
+    """McGill sum of the subset loop's terms."""
+    return math.fsum(subset_loop_terms(ids, world))
+
+
+def parity_and_copy_world():
+    """14 variables: v0..v11 hold even parity, v12 and v13 are a copied pair (0.7 both off, 0.3 both on)."""
+    cells = np.arange(1 << 14)
+    even = np.array([bin(c & 0xFFF).count("1") % 2 == 0 for c in cells])
+    weights = even * np.select([cells >> 12 == 0, cells >> 12 == 3], [0.7, 0.3], 0.0)
+    return WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
 
 
 def xor_world():
@@ -256,14 +270,30 @@ class TestInteractionInformation:
         # t of 14 variables in shuffled order; the parity world holds a 12-bit XOR block and a copied pair
         rng = np.random.default_rng(t)
         if kind == "parity-and-copy":
-            cells = np.arange(1 << 14)
-            even = np.array([bin(c & 0xFFF).count("1") % 2 == 0 for c in cells])
-            weights = even * np.select([cells >> 12 == 0, cells >> 12 == 3], [0.7, 0.3], 0.0)
+            world = parity_and_copy_world()
         else:
             weights = rng.random(1 << 14) * (rng.random(1 << 14) > (0.3 if kind == "30%-zeros" else 0.0))
-        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+            world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
         ids = [world.universe[i] for i in rng.permutation(14)[:t]]
         assert interaction_information(ids, world).value == subset_loop_interaction(ids, world)
+
+    @pytest.mark.parametrize("kind", ["always-true", "parity-block", "5-cells", "dense"])
+    def test_fold_terms_are_the_subset_loop_terms(self, kind):
+        # each signed H(T) of the fold is the direct marginal's float, not just their fsum, on worlds whose levels
+        # mix rows with no zero and rows with one; in the parity block only the top table holds zeros
+        rng = np.random.default_rng(12)
+        if kind == "parity-block":
+            world, ids = parity_and_copy_world(), [f"v{i}" for i in rng.permutation(12)]
+        else:
+            weights = rng.random(1 << 14)
+            if kind == "always-true":
+                weights[np.arange(1 << 14) >> 5 & 1 == 0] = 0.0
+            elif kind == "5-cells":
+                weights = np.zeros(1 << 14)
+                weights[rng.choice(1 << 14, 5, replace=False)] = rng.random(5)
+            world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+            ids = [world.universe[i] for i in rng.permutation(14)[:12]]
+        assert sorted(_lattice_terms(world.marginal_table(ids), 12)) == sorted(subset_loop_terms(ids, world))
 
     def test_lattice_allocates_a_bounded_buffer(self):
         # the 3**12-cell fold buffer is 4 MiB; the scratch around it stays small
