@@ -47,7 +47,6 @@ from .files import load_concepts, load_world, parse_concepts, parse_world
 from .model import (
     Concept,
     DegreeMismatchWarning,
-    InstanceTable,
     WorldModel,
     build_exclusive_world,
     build_independent_world,

@@ -9,9 +9,10 @@ Concept files hold one or more blocks:
 World files start with a mode line. `independent` is followed by
 `<id> <marginal>` lines; `exclusive <n> <m> <k>` stands alone;
 `instances` is followed by `<comma-separated ids> <weight>` rows, where a
-lone `-` means the row holds no properties. Files are UTF-8; blank lines
-are ignored and `#` starts a comment line. Parsing takes linear time, and a
-world naming more than 24 properties is refused before any table or bitmask is built.
+lone `-` means the row holds no properties. Files are UTF-8 with lines
+ending at `\n`, `\r\n` or `\r`; blank lines are ignored and `#` starts a
+comment line. Parsing takes linear time and builds each instance row's
+mask as the row is read, refusing the file at its 25th distinct id.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 from .errors import IntensionError, ParseError
 from .model import (
     Concept,
-    InstanceTable,
     WorldModel,
     build_exclusive_world,
     build_independent_world,
@@ -31,7 +31,7 @@ from .model import (
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -134,33 +134,34 @@ def _parse_independent(body: list[tuple[int, str]], source: str) -> WorldModel:
 
 def _parse_instances(body: list[tuple[int, str]], source: str, header_line: int) -> WorldModel:
     index: dict[str, int] = {}
-    rows: list[tuple[list[str], float]] = []
+    masks: list[int] = []
+    weights: list[float] = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(source, lineno, "expected: <comma-separated ids or -> <weight>")
         ids_token, raw = tokens
-        ids = [] if ids_token == "-" else ids_token.split(",")
-        seen = set()
-        for pid in ids:
+        mask = 0
+        for pid in [] if ids_token == "-" else ids_token.split(","):
             if not pid:
                 raise ParseError(source, lineno, f"empty id in {ids_token!r}")
-            if pid in seen:
+            if pid not in index:
+                index[pid] = len(index)
+                _wrap(source, header_line, check_universe, index)  # refuses the 25th id, at the header
+            if mask >> index[pid] & 1:
                 raise ParseError(source, lineno, f"duplicate property {pid!r} in row")
-            seen.add(pid)
-            index.setdefault(pid, len(index))
+            mask |= 1 << index[pid]
         try:
             weight = float(raw)
         except ValueError:
             raise ParseError(source, lineno, f"bad weight {raw!r}") from None
         if weight < 0:
             raise ParseError(source, lineno, f"negative weight {raw}")
-        rows.append((ids, weight))
-    if not rows:
+        masks.append(mask)
+        weights.append(weight)
+    if not masks:
         raise ParseError(source, header_line, "instances world needs at least one row")
-    universe = _wrap(source, header_line, check_universe, index)  # before any bitmask is sized by the ids
-    masked = tuple((sum(1 << index[pid] for pid in ids), weight) for ids, weight in rows)
-    return _wrap(source, header_line, lambda: world_from_instances(InstanceTable(universe, masked)))
+    return _wrap(source, header_line, world_from_instances, tuple(index), masks, weights)
 
 
 def _wrap(source: str, lineno: int, fn, *args):

@@ -3,11 +3,11 @@
 A concept is a named, weighted set of binary properties. A world model is
 an exact joint distribution over all property variables, indexed by
 bitmask (bit i set means property i of the universe holds). A world is
-dense, a product or a set of support rows (see `WorldModel`), and answers
-each query from that structure: only a dense world keeps 2**s cells, and
-the others build that table lazily, the first time `probs` is read. The
-universe stays capped at 24 variables. A concept pair needs one query:
-every pair quantity is read off `pair_marginal`'s table.
+a product of marginals or a set of weighted support rows (see
+`WorldModel`), and answers each query from that structure: neither kind
+keeps 2**s cells, and the table is built lazily, the first time `probs`
+is read. The universe stays capped at 24 variables. A concept pair needs
+one query: every pair quantity is read off `pair_marginal`'s table.
 
 A concept's event is the union (disjunction) of its property events: "x is
 the concept" means x holds at least one of the concept's properties. This
@@ -108,16 +108,16 @@ class Concept:
 
 @dataclass(frozen=True, eq=False)
 class WorldModel:
-    """Joint distribution over s binary property variables, in one of three kinds.
+    """Joint distribution over s binary property variables, in one of two kinds.
 
-    A dense world (`from_weights`) holds its normalized table and folds it
-    per query; a product world (`build_independent_world`) holds s marginals
-    and multiplies those asked for; a support-row world (`build_exclusive_world`,
-    `world_from_instances`) holds row bitmasks and raw weights and makes one
+    A product world (`build_independent_world`) holds s marginals and
+    multiplies those asked for; a support-row world (`from_weights`,
+    `build_exclusive_world`, `world_from_instances`) holds an int64 array of
+    row bitmasks and a float64 array of raw weights, and makes one
     `np.bincount` per query. probs[mask] is the probability of the assignment
-    where property i holds iff bit i of mask is set; the two structured kinds
-    build it on first read. Every kind keeps the 24-property cap. Tables are
-    read-only; instances are safe to share across threads.
+    where property i holds iff bit i of mask is set; both kinds build it on
+    first read. Every kind keeps the 24-property cap. Tables are read-only;
+    instances are safe to share across threads.
     """
 
     universe: tuple[str, ...]
@@ -126,6 +126,7 @@ class WorldModel:
 
     @classmethod
     def from_weights(cls, universe: Sequence[str], weights: Sequence[float] | np.ndarray) -> "WorldModel":
+        """Support-row world over the nonzero cells of a table of 2**s weights, index bit i for property i."""
         universe = check_universe(universe)
         s = len(universe)
         w = np.asarray(weights, dtype=np.float64)
@@ -136,19 +137,18 @@ class WorldModel:
             raise ValueError("weights must be finite")
         if lo < 0:
             raise ValueError("weights must be nonnegative")
-        probs = w / _checked_total(w)
-        probs.setflags(write=False)
-        world = cls(universe)
-        vars(world)["probs"] = probs  # a dense world's table is its cached probs from the start
-        assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
-        return world
+        masks = np.flatnonzero(w)
+        return cls(universe, _rows=(masks, w[masks], _checked_total(w)))
 
     @cached_property
     def probs(self) -> np.ndarray:
-        """The dense table of 2**s probabilities, built on first read for a product or support-row world."""
+        """The dense table of 2**s probabilities, built on first read."""
         s = len(self.universe)
         weights = self._kept(range(s)) if self._rows is None else np.bincount(*self._rows[:2], minlength=1 << s)
-        return WorldModel.from_weights(self.universe, weights).probs
+        probs = weights / _checked_total(weights)
+        probs.setflags(write=False)
+        assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
+        return probs
 
     def _kept(self, positions: Collection[int]) -> np.ndarray:
         """Marginal onto the given universe positions, bit k for the k-th lowest, read from the world's own structure."""
@@ -158,15 +158,13 @@ class WorldModel:
             for mu in self._marginals[ordered]:
                 table = np.concatenate([table * (1.0 - mu), table * mu])
             return table
-        if self._rows is not None:
-            masks, weights, total = self._rows
-            key = np.zeros(len(masks), dtype=np.int64)
-            for k, pos in enumerate(ordered):
-                key |= ((masks >> pos) & 1) << k
-            kept = np.bincount(key, weights, minlength=1 << len(ordered))
-            kept /= total  # after summing raw weights, and in place: a request for every property is 2**s cells
-            return kept
-        return marginalize(self.probs, set(ordered))
+        masks, weights, total = self._rows
+        key = np.zeros(len(masks), dtype=np.int64)
+        for k, pos in enumerate(ordered):
+            key |= ((masks >> pos) & 1) << k
+        kept = np.bincount(key, weights, minlength=1 << len(ordered))
+        kept /= total  # after summing raw weights, and in place: a request for every property is 2**s cells
+        return kept
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -218,19 +216,6 @@ def _checked_total(weights: np.ndarray) -> float:
     return total
 
 
-def marginalize(table: np.ndarray, keep: Collection[int]) -> np.ndarray:
-    """Marginal of a 2**n table onto the bits in keep, kept in ascending order.
-
-    Walks the bits from high to low and adds the two halves of each bit not
-    kept: every step reads a view and writes a table half the size.
-    """
-    for bit in reversed(range(table.size.bit_length() - 1)):
-        if bit not in keep:
-            halves = table.reshape(-1, 2, 1 << bit)
-            table = halves[:, 0] + halves[:, 1]
-    return table.reshape(-1)
-
-
 def bit_marginals(table: np.ndarray) -> list[float]:
     """P(bit j is set) for every bit j of a 2**n table, in one fold pass."""
     out = []
@@ -239,32 +224,6 @@ def bit_marginals(table: np.ndarray) -> list[float]:
         out.append(min(1.0, float(halves[1].sum())))
         table = halves[0] + halves[1]
     return out[::-1]
-
-
-@dataclass(frozen=True)
-class InstanceTable:
-    """Weighted rows of property assignments, one bitmask per row, kept as a mask array and a weight array."""
-
-    universe: tuple[str, ...]
-    rows: tuple[tuple[int, float], ...]
-    masks: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "universe", check_universe(self.universe))
-        masks, weights = zip(*self.rows) if self.rows else ((), ())
-        m = np.asarray(masks)  # an object array when a mask does not fit 64 bits
-        bad = (m < 0) | (m >= 1 << len(self.universe))
-        if bad.any():
-            raise ValueError(f"row mask {m[bad.argmax()]} out of range for {len(self.universe)} properties")
-        w = np.array(weights, dtype=np.float64)
-        bad = ~(np.isfinite(w) & (w >= 0))
-        if bad.any():
-            raise ValueError(f"row weight must be finite and nonnegative, got {weights[bad.argmax()]!r}")
-        if not (w > 0).any():
-            raise EmptyTable("instance table needs at least one row with positive weight")
-        object.__setattr__(self, "masks", m.astype(np.int64))
-        object.__setattr__(self, "weights", w)
 
 
 def build_independent_world(universe: Sequence[str], marginals: Sequence[float]) -> WorldModel:
@@ -309,15 +268,28 @@ def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, 
     """
     params = ExclusiveCaseParams(n, m, k)
     universe = check_universe(f"p{i + 1}" for i in range(params.s))
-    world = world_from_instances(InstanceTable(universe, tuple((1 << i, 1.0) for i in range(params.s))))
+    world = world_from_instances(universe, 1 << np.arange(params.s), np.ones(params.s))
     f = Concept("F", tuple((pid, params.p) for pid in universe[:n]))
     w = Concept("W", tuple((pid, params.p) for pid in universe[-m:]))
     return world, f, w
 
 
-def world_from_instances(table: InstanceTable) -> WorldModel:
-    """Support-row world whose mass at each assignment is the table's normalized weight; rows add in order."""
-    return WorldModel(table.universe, _rows=(table.masks, table.weights, _checked_total(table.weights)))
+def world_from_instances(universe: Sequence[str], masks: Sequence[int], weights: Sequence[float]) -> WorldModel:
+    """Support-row world with one row per (mask, weight) pair; rows of equal mask add their weights in order."""
+    universe = check_universe(universe)
+    m = np.asarray(masks)  # an object array when a mask does not fit 64 bits
+    w = np.array(weights, dtype=np.float64)  # a copy, as is the int64 cast below: the world owns its rows
+    if m.shape != w.shape or m.ndim != 1:
+        raise ValueError(f"expected one weight per row mask, got shapes {m.shape} and {w.shape}")
+    bad = (m < 0) | (m >= 1 << len(universe))
+    if bad.any():
+        raise ValueError(f"row mask {int(m[bad.argmax()])} out of range for {len(universe)} properties")
+    bad = ~(np.isfinite(w) & (w >= 0))
+    if bad.any():
+        raise ValueError(f"row weight must be finite and nonnegative, got {float(w[bad.argmax()])!r}")
+    if not (w > 0).any():
+        raise EmptyTable("instance table needs at least one row with positive weight")
+    return WorldModel(universe, _rows=(m.astype(np.int64), w, _checked_total(w)))
 
 
 def pair_marginal(f: Concept, w: Concept, world: WorldModel) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

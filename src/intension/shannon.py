@@ -99,11 +99,11 @@ def _lattice_terms(table: np.ndarray, t: int) -> list[float]:
     One 3**t buffer (4 MiB at t=12) holds the lattice level by level: level L is one C(t, L) x 2**(t-L) block of the
     tables with L bits folded, its rows ordered by their lowest folded bit, highest first. The tables that may still
     fold bit j (all their folded bits above j) are then a prefix of each level, so at bit j one reshape per level
-    halves them and appends the halves to the next level. Each subset's bits are folded high to low as in
-    `marginalize`, so each H(T) is the same float as a direct marginal's. Rows with no zero are summed as rows of
-    their level's block; only the rows that hold a zero, from all levels, have their nonzero cells packed and are
-    summed in one pass, rows of equal count together. Either way numpy sums a row exactly as it sums that row alone.
-    The caller sums the terms exactly.
+    halves them and appends the halves to the next level. Each subset's bits are folded high to low as in the
+    reference `marginalize` of tests/oracles.py, so each H(T) is the same float as a direct marginal's. Rows with no
+    zero are summed as rows of their level's block; only the rows that hold a zero, from all levels, have their nonzero
+    cells packed and are summed in one pass, rows of equal count together. Either way numpy sums a row exactly as it
+    sums that row alone. The caller sums the terms exactly.
     """
     rows = [math.comb(t, level) for level in range(t + 1)]
     starts = np.cumsum([0] + [r << (t - level) for level, r in enumerate(rows)]).tolist()

@@ -3,6 +3,8 @@
 A distribution here is a dict mapping assignment tuples (one 0/1 entry
 per variable) to probability. Entropies are direct plug-in sums over
 dict projections; nothing is shared with the package's bitmask bucketing.
+The one exception is `marginalize`, which folds a numpy table of 2**n
+cells: it is the reference for the fold order of the interaction lattice.
 """
 
 import math
@@ -79,3 +81,17 @@ def exact_conditional(dist, f_idxs, w_idxs):
         if any(a[i] for i in f_idxs) and any(a[i] for i in w_idxs)
     )
     return both / union_probability(dist, f_idxs)
+
+
+def marginalize(table, keep):
+    """Marginal of a 2**n table onto the bits in keep, kept in ascending order.
+
+    Walks the bits from high to low and adds the two halves of each bit not
+    kept: every step reads a view and writes a table half the size. This is
+    the order in which the interaction lattice folds each subset's table.
+    """
+    for bit in reversed(range(table.size.bit_length() - 1)):
+        if bit not in keep:
+            halves = table.reshape(-1, 2, 1 << bit)
+            table = halves[:, 0] + halves[:, 1]
+    return table.reshape(-1)

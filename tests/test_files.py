@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,13 @@ class TestParseWorld:
             parse_world("instances\na heavy")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_rows_break_only_at_universal_newlines(self, sep):
+        # str.splitlines() breaks at these too; open() does not, so the bad row is on line 3
+        with pytest.raises(ParseError, match="bad weight 'x'") as err:
+            parse_world(f"instances\na 1{sep}\nc x")
+        assert err.value.line == 3
+
 
 class TestLoadFiles:
     def test_load_fixture_concepts(self):
@@ -156,6 +164,24 @@ class TestLoadFiles:
         world = load_world(DATA / "parity_world.txt")
         assert world.universe == ("b", "c", "a")
         assert float(world.probs[0]) == pytest.approx(0.25, abs=1e-12)
+
+    def test_instances_load_in_bounded_memory(self, tmp_path):
+        # 16,384 rows over 16 properties, as in the benchmark's lattice world: rows go straight into arrays
+        ids = [f"v{j:02d}" for j in range(16)]
+        rows = []
+        for i in range(1 << 14):
+            mask = i << 2 | (i % 3 == 0) << 1 | (i % 5 == 0)
+            rows.append(f"{','.join(pid for j, pid in enumerate(ids) if mask >> j & 1)} {(i % 97 + 1) / 97!r}\n")
+        path = tmp_path / "world.txt"
+        path.write_text("instances\n" + "".join(rows))
+        tracemalloc.start()
+        try:
+            world = load_world(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(world.universe) == 16
+        assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_source_in_message(self):
         with pytest.raises(ParseError) as err:
@@ -185,6 +211,12 @@ class TestWideInputs:
         text = "instances\n" + "".join(f"p{i} 1\n" for i in range(self.N))
         with pytest.raises(ParseError, match="more than 24 properties"):
             self._timed(parse_world, text)
+
+    def test_instances_refused_at_the_25th_id(self):
+        text = "instances\n" + "".join(f"p{i} 1\n" for i in range(25)) + "malformed\n"
+        with pytest.raises(ParseError, match="more than 24 properties") as err:
+            parse_world(text)
+        assert err.value.line == 1
 
     def test_wide_concept_parsed(self):
         text = "concept c\n" + "".join(f"property p{i} 0.5\n" for i in range(self.N))

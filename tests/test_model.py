@@ -23,7 +23,6 @@ from intension.model import (
     MAX_UNIVERSE,
     Concept,
     DegreeMismatchWarning,
-    InstanceTable,
     WorldModel,
     build_exclusive_world,
     build_independent_world,
@@ -181,29 +180,28 @@ class TestBuildExclusiveWorld:
 
 class TestWorldFromInstances:
     def test_two_equal_rows(self):
-        table = InstanceTable(("a", "b"), ((0b01, 1.0), (0b10, 1.0)))
-        world = world_from_instances(table)
+        world = world_from_instances(("a", "b"), [0b01, 0b10], [1.0, 1.0])
         assert world.probs[0b01] == 0.5
         assert world.probs[0b10] == 0.5
 
     def test_weight_normalization(self):
-        table = InstanceTable(("a",), ((1, 3.0), (0, 1.0)))
-        world = world_from_instances(table)
+        world = world_from_instances(("a",), [1, 0], [3.0, 1.0])
         assert world.probs[1] == pytest.approx(0.75, abs=TOL)
 
     def test_single_row(self):
-        world = world_from_instances(InstanceTable(("a", "b"), ((0b11, 2.0),)))
+        world = world_from_instances(("a", "b"), [0b11], [2.0])
         assert world.probs[0b11] == 1.0
 
     def test_zero_total_weight(self):
         with pytest.raises(EmptyTable):
-            InstanceTable(("a",), ((1, 0.0),))
+            world_from_instances(("a",), [1], [0.0])
 
     def test_cap_checked_before_table(self):
         universe = tuple(f"g{i}" for i in range(40))
         with pytest.raises(UniverseTooLarge):
-            InstanceTable(universe, (((1 << 40) - 1, 1.0), (0, 1.0)))
+            world_from_instances(universe, [(1 << 40) - 1, 0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("form", [list, np.array])
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -211,16 +209,20 @@ class TestWorldFromInstances:
             (((8, 1.0), (1, float("inf"))), "row mask 8 out of range"),
             (((1, 1.0), (1 << 70, 1.0)), f"row mask {1 << 70} out of range"),
             (((1, 1.0), (2, float("nan")), (3, -2.0)), "finite and nonnegative, got nan"),
-            (((1, 1.0), (2, -2)), "finite and nonnegative, got -2$"),
+            (((1, 1.0), (2, -2)), r"finite and nonnegative, got -2\.0$"),
         ],
     )
-    def test_bad_row_named_in_row_order(self, rows, message):
+    def test_bad_row_named_in_row_order(self, rows, message, form):
+        masks, weights = zip(*rows)
         with pytest.raises(ValueError, match=message):
-            InstanceTable(("a", "b", "c"), rows)
+            world_from_instances(("a", "b", "c"), form(masks), form(weights))
+
+    def test_one_weight_per_mask(self):
+        with pytest.raises(ValueError, match="one weight per row mask"):
+            world_from_instances(("a", "b"), [1, 2], [1.0])
 
     def test_duplicate_masks_accumulate(self):
-        table = InstanceTable(("a",), ((1, 1.0), (1, 1.0), (0, 2.0)))
-        world = world_from_instances(table)
+        world = world_from_instances(("a",), [1, 1, 0], [1.0, 1.0, 2.0])
         assert world.probs[1] == pytest.approx(0.5, abs=TOL)
 
     def test_matches_row_loop_exactly(self):
@@ -229,7 +231,7 @@ class TestWorldFromInstances:
         weights = np.zeros(16)
         for mask, weight in rows:
             weights[mask] += weight
-        world = world_from_instances(InstanceTable(tuple("abcd"), rows))
+        world = world_from_instances(tuple("abcd"), *zip(*rows))
         assert np.array_equal(world.probs, WorldModel.from_weights(tuple("abcd"), weights).probs)
 
     def test_reserialization_idempotent(self):
@@ -242,10 +244,8 @@ class TestWorldFromInstances:
                 for _ in range(n_rows)
             )
             universe = tuple(f"v{i}" for i in range(size))
-            world = world_from_instances(InstanceTable(universe, rows))
-            again = world_from_instances(
-                InstanceTable(universe, tuple((m, float(p)) for m, p in enumerate(world.probs) if p > 0))
-            )
+            world = world_from_instances(universe, *zip(*rows))
+            again = world_from_instances(universe, np.flatnonzero(world.probs), world.probs[world.probs > 0])
             assert np.allclose(world.probs, again.probs, atol=TOL)
 
 
@@ -335,7 +335,7 @@ def world_of_kind(kind, size, seed):
     masks = rng.choice(rng.integers(0, 1 << size, 8), n_rows)  # at most 8 distinct masks, so masks repeat
     weights = rng.random(n_rows) * (rng.random(n_rows) > 0.3)  # about 30% zero-weight rows
     weights[0] += 1.0
-    return world_from_instances(InstanceTable(universe, tuple(zip(masks.tolist(), weights.tolist()))))
+    return world_from_instances(universe, masks, weights)
 
 
 class TestMarginalTable:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import concept_at, world_from_dist, worlds, worlds_with_concept_pair
+from oracles import marginalize
 from intension.errors import InvalidDegree, SubsetTooLarge, UnknownProperty
 from intension.model import (
     Concept,
@@ -15,7 +16,6 @@ from intension.model import (
     WorldModel,
     build_exclusive_world,
     build_independent_world,
-    marginalize,
 )
 from intension.shannon import (
     INTERACTION_CONVENTION,
