@@ -18,6 +18,8 @@ mask as the row is read, refusing the file at its 25th distinct id.
 from __future__ import annotations
 
 import os
+from typing import Iterator
+
 from .errors import IntensionError, ParseError
 from .model import (
     Concept,
@@ -29,14 +31,12 @@ from .model import (
 )
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is not blank or a comment, one at a time."""
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def parse_concepts(text: str, source: str = "<string>") -> dict[str, Concept]:
@@ -85,12 +85,12 @@ def parse_concepts(text: str, source: str = "<string>") -> dict[str, Concept]:
 
 def parse_world(text: str, source: str = "<string>") -> WorldModel:
     """Parse a world file in any of the three modes."""
-    lines = _significant_lines(text)
-    if not lines:
+    body = _significant_lines(text)
+    first = next(body, None)
+    if first is None:
         raise ParseError(source, 1, "empty world file")
-    lineno, header = lines[0]
+    lineno, header = first
     tokens = header.split()
-    body = lines[1:]
 
     if tokens[0] == "independent":
         if len(tokens) != 1:
@@ -99,8 +99,9 @@ def parse_world(text: str, source: str = "<string>") -> WorldModel:
     if tokens[0] == "exclusive":
         if len(tokens) != 4:
             raise ParseError(source, lineno, "expected: exclusive <n> <m> <k>")
-        if body:
-            raise ParseError(source, body[0][0], "exclusive worlds take no further lines")
+        extra = next(body, None)
+        if extra is not None:
+            raise ParseError(source, extra[0], "exclusive worlds take no further lines")
         try:
             n, m, k = (int(t) for t in tokens[1:])
         except ValueError:
@@ -114,9 +115,12 @@ def parse_world(text: str, source: str = "<string>") -> WorldModel:
     raise ParseError(source, lineno, f"unknown world mode {tokens[0]!r}")
 
 
-def _parse_independent(body: list[tuple[int, str]], source: str) -> WorldModel:
+def _parse_independent(body: Iterator[tuple[int, str]], source: str) -> WorldModel:
     marginals: dict[str, float] = {}
+    first = 1
     for lineno, line in body:
+        if not marginals:
+            first = lineno
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(source, lineno, "expected: <id> <marginal>")
@@ -129,10 +133,10 @@ def _parse_independent(body: list[tuple[int, str]], source: str) -> WorldModel:
             raise ParseError(source, lineno, f"bad marginal {raw!r}") from None
     if not marginals:
         raise ParseError(source, 1, "independent world needs at least one property line")
-    return _wrap(source, body[0][0], build_independent_world, list(marginals), list(marginals.values()))
+    return _wrap(source, first, build_independent_world, list(marginals), list(marginals.values()))
 
 
-def _parse_instances(body: list[tuple[int, str]], source: str, header_line: int) -> WorldModel:
+def _parse_instances(body: Iterator[tuple[int, str]], source: str, header_line: int) -> WorldModel:
     index: dict[str, int] = {}
     masks: list[int] = []
     weights: list[float] = []

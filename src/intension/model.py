@@ -6,14 +6,16 @@ bitmask (bit i set means property i of the universe holds). A world is
 a product of marginals or a set of weighted support rows (see
 `WorldModel`), and answers each query from that structure: neither kind
 keeps 2**s cells, and the table is built lazily, the first time `probs`
-is read. The universe stays capped at 24 variables. A concept pair needs
-one query: every pair quantity is read off `pair_marginal`'s table.
+is read. The universe stays capped at 24 variables. Every query asks
+which of a few disjoint groups of properties hold: a concept pair's
+indicator joint is one query of three groups, 8 cells however wide the
+pair.
 
 A concept's event is the union (disjunction) of its property events: "x is
 the concept" means x holds at least one of the concept's properties. This
 is what makes the one-hot construction below come out to the familiar
 count ratios, and it is the only event semantics this package supports.
-Event probabilities are sums of nonnegative cells, never 1 - P(none), so
+Event probabilities are sums of nonnegative terms, never 1 - P(none), so
 a tiny P(F) keeps its digits. Declared degrees are read as marginal
 probabilities; the world model is ground truth, and a disagreement beyond
 1e-6 triggers DegreeMismatchWarning rather than an error.
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,11 +112,12 @@ class Concept:
 class WorldModel:
     """Joint distribution over s binary property variables, in one of two kinds.
 
-    A product world (`build_independent_world`) holds s marginals and
-    multiplies those asked for; a support-row world (`from_weights`,
-    `build_exclusive_world`, `world_from_instances`) holds an int64 array of
-    row bitmasks and a float64 array of raw weights, and makes one
-    `np.bincount` per query. probs[mask] is the probability of the assignment
+    A product world (`build_independent_world`) holds s marginals; a
+    support-row world (`from_weights`, `build_exclusive_world`,
+    `world_from_instances`) holds an int64 array of row bitmasks and a
+    float64 array of raw weights. Both answer every query through `_kept`:
+    given disjoint groups of properties, the probability of each pattern of
+    which groups hold. probs[mask] is the probability of the assignment
     where property i holds iff bit i of mask is set; both kinds build it on
     first read. Every kind keeps the 24-property cap. Tables are read-only;
     instances are safe to share across threads.
@@ -144,25 +147,36 @@ class WorldModel:
     def probs(self) -> np.ndarray:
         """The dense table of 2**s probabilities, built on first read."""
         s = len(self.universe)
-        weights = self._kept(range(s)) if self._rows is None else np.bincount(*self._rows[:2], minlength=1 << s)
+        if self._rows is None:
+            weights = self._kept([[pos] for pos in range(s)])
+        else:
+            weights = np.bincount(*self._rows[:2], minlength=1 << s)
         probs = weights / _checked_total(weights)
         probs.setflags(write=False)
         assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
         return probs
 
-    def _kept(self, positions: Collection[int]) -> np.ndarray:
-        """Marginal onto the given universe positions, bit k for the k-th lowest, read from the world's own structure."""
-        ordered = sorted(positions)
+    def _kept(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
+        """P(each pattern of which groups hold): 2**len(groups) cells, bit k set iff some property of group k holds.
+
+        Groups are disjoint lists of universe positions; the answer is read from the world's own structure. A product
+        world keeps, per group, P(none) and P(some) as the running sum some += none * mu, never 1 - P(none), so a tiny
+        P(some) keeps its digits; a one-property group gives exactly mu and 1 - mu.
+        """
         if self._marginals is not None:
             table = np.array([1.0])
-            for mu in self._marginals[ordered]:
-                table = np.concatenate([table * (1.0 - mu), table * mu])
+            for group in groups:
+                none, some = 1.0, 0.0
+                for mu in self._marginals[group].tolist():
+                    some += none * mu
+                    none *= 1.0 - mu
+                table = np.concatenate([table * none, table * some])
             return table
         masks, weights, total = self._rows
         key = np.zeros(len(masks), dtype=np.int64)
-        for k, pos in enumerate(ordered):
-            key |= ((masks >> pos) & 1) << k
-        kept = np.bincount(key, weights, minlength=1 << len(ordered))
+        for k, group in enumerate(groups):
+            key |= ((masks & sum(1 << pos for pos in group)) != 0).astype(np.int64) << k
+        kept = np.bincount(key, weights, minlength=1 << len(groups))
         kept /= total  # after summing raw weights, and in place: a request for every property is 2**s cells
         return kept
 
@@ -180,29 +194,18 @@ class WorldModel:
     def marginal(self, pid: str) -> float:
         """P(property holds)."""
         # min() guards against float accumulation drifting a hair past 1
-        return min(1.0, float(self._kept({self.bit(pid)})[1]))
+        return min(1.0, float(self._kept([[self.bit(pid)]])[1]))
 
     def union_probability(self, ids: Iterable[str]) -> float:
         """P(at least one of the given properties holds); 0 for no properties."""
-        kept = self._kept({self.bit(p) for p in ids})
-        return min(1.0, float(kept[1:].sum()))
+        return min(1.0, float(self._kept([sorted({self.bit(p) for p in ids})])[1]))
 
     def marginal_table(self, ids: Sequence[str]) -> np.ndarray:
-        """Joint marginal over the given variables, in the order given.
-
-        Returns a table of 2**len(ids) probabilities; bit j of the index
-        corresponds to ids[j]. One query of the world's structure, then a
-        transpose of the small kept table; the result may be a read-only view.
-        """
+        """Joint marginal over the given variables, in the order given: 2**len(ids) cells, bit j for ids[j]."""
         positions = [self.bit(p) for p in ids]
         if len(set(positions)) != len(positions):
             raise ValueError(f"duplicate ids in marginal request: {tuple(ids)}")
-        kept = self._kept(positions)
-        # kept bit k is the k-th lowest position; C-order axis a is bit n-1-a
-        n = len(positions)
-        rank = {pos: k for k, pos in enumerate(sorted(positions))}
-        axes = [n - 1 - rank[pos] for pos in reversed(positions)]
-        return kept.reshape((2,) * n).transpose(axes).reshape(-1)
+        return self._kept([[pos] for pos in positions])
 
 
 def _checked_total(weights: np.ndarray) -> float:
@@ -214,16 +217,6 @@ def _checked_total(weights: np.ndarray) -> float:
     if total <= 0.0:
         raise EmptyTable("total weight must be positive")
     return total
-
-
-def bit_marginals(table: np.ndarray) -> list[float]:
-    """P(bit j is set) for every bit j of a 2**n table, in one fold pass."""
-    out = []
-    for bit in reversed(range(table.size.bit_length() - 1)):
-        halves = table.reshape(2, 1 << bit)
-        out.append(min(1.0, float(halves[1].sum())))
-        table = halves[0] + halves[1]
-    return out[::-1]
 
 
 def build_independent_world(universe: Sequence[str], marginals: Sequence[float]) -> WorldModel:
@@ -292,39 +285,23 @@ def world_from_instances(universe: Sequence[str], masks: Sequence[int], weights:
     return WorldModel(universe, _rows=(m.astype(np.int64), w, _checked_total(w)))
 
 
-def pair_marginal(f: Concept, w: Concept, world: WorldModel) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """One pass over the world for a concept pair: (ids, table, joint).
-
-    table is the world's marginal over the pooled properties, ordered
-    F-only, then shared, then W-only, with bit j for ids[j]. joint is the
-    four-cell joint of the two concept-event indicators, index 2*f + w.
-    """
-    f_ids, w_ids = set(f.ids), set(w.ids)
-    f_only = [p for p in f.ids if p not in w_ids]
-    w_only = [p for p in w.ids if p not in f_ids]
-    ids = tuple(f_only + [p for p in f.ids if p in w_ids] + w_only)
-    table = world.marginal_table(ids)
-    # axes (W-only, shared, F-only); index 0 of a group means none of it holds
-    cube = table.reshape(1 << len(w_only), -1, 1 << len(f_only))
-    none = cube[:, 0, :]  # no shared property holds
-    joint = np.array([none[0, 0], none[1:, 0].sum(), none[0, 1:].sum(), none[1:, 1:].sum() + cube[:, 1:].sum()])
-    return ids, table, joint
+def pair_joint(f: Concept, w: Concept, world: WorldModel) -> np.ndarray:
+    """Four-cell joint of the two concept-event indicators, index 2*f + w, from one query of three groups."""
+    f_pos, w_pos = {world.bit(p) for p in f.ids}, {world.bit(p) for p in w.ids}
+    # groups W-only, shared, F-only are bits 0, 1, 2: F and W both hold when a shared property does or both others do
+    t = world._kept([sorted(w_pos - f_pos), sorted(f_pos & w_pos), sorted(f_pos - w_pos)])
+    return np.array([t[0], t[1], t[4], t[2] + t[3] + t[5] + t[6] + t[7]])
 
 
 def joint_event_probability(f: Concept, w: Concept, world: WorldModel) -> float:
     """P(both concept events hold)."""
-    return min(1.0, float(pair_marginal(f, w, world)[2][3]))
+    return min(1.0, float(pair_joint(f, w, world)[3]))
 
 
 def degree_mismatches(concept: Concept, world: WorldModel, tol: float = DEGREE_MISMATCH_TOL) -> list[str]:
     """Human-readable descriptions of degree vs world-marginal disagreements."""
-    return describe_mismatches(concept, dict(zip(concept.ids, bit_marginals(world.marginal_table(concept.ids)))), tol)
-
-
-def describe_mismatches(concept: Concept, marginals: Mapping[str, float], tol: float = DEGREE_MISMATCH_TOL) -> list[str]:
-    """degree_mismatches, given the world marginal of every concept property."""
     return [
-        f"degree-mismatch {pid}: concept {concept.name!r} declares {declared:.6g}, world marginal is {marginals[pid]:.6g}"
+        f"degree-mismatch {pid}: concept {concept.name!r} declares {declared:.6g}, world marginal is {marginal:.6g}"
         for pid, declared in concept.properties
-        if abs(marginals[pid] - declared) > tol
+        if abs((marginal := world.marginal(pid)) - declared) > tol
     ]

@@ -21,16 +21,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SubsetTooLarge
-from .model import (  # noqa: F401 -- bench/spans.py traces degree_mismatches and joint_event_probability here
+from .model import (  # noqa: F401 -- bench/spans.py traces joint_event_probability here
     Concept,
     DegreeMismatchWarning,
     WorldModel,
-    bit_marginals,
     check_degree,
     degree_mismatches,
-    describe_mismatches,
     joint_event_probability,
-    pair_marginal,
+    pair_joint,
 )
 
 MAX_LATTICE_VARS = 12
@@ -65,7 +63,7 @@ def _mutual_information(joint: np.ndarray) -> float:
 
 def concept_pair_entropies(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float]:
     """(H(F), H(W), H(F,W)) of the two concept-event indicator variables."""
-    return _pair_entropies(pair_marginal(f, w, world)[2])
+    return _pair_entropies(pair_joint(f, w, world))
 
 
 @dataclass(frozen=True)
@@ -178,10 +176,8 @@ def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> f
     pooled = list(dict.fromkeys(f.ids + w.ids))
     if len(pooled) > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{len(pooled)} pooled properties exceeds the cap of {MAX_LATTICE_VARS}")
-    ids, table, joint = pair_marginal(f, w, world)
-    marginals = dict(zip(ids, bit_marginals(table)))
-    per_property = sum(binary_entropy(marginals[pid]) for pid in f.ids + w.ids)
-    return (per_property - _table_entropy(table)) - _mutual_information(joint)
+    per_property = sum(binary_entropy(world.marginal(pid)) for pid in f.ids + w.ids)
+    return (per_property - _table_entropy(world.marginal_table(pooled))) - _mutual_information(pair_joint(f, w, world))
 
 
 @dataclass(frozen=True)
@@ -210,12 +206,11 @@ def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInh
 
     Emits DegreeMismatchWarning for every declared degree that disagrees
     with the world marginal beyond 1e-6; the world always wins. When
-    P(f) = 0 the exact conditional and the discrepancy are None. Makes one
-    pass over the world.
+    P(f) = 0 the exact conditional and the discrepancy are None. Reads one
+    marginal per declared degree and one 8-cell joint, however wide the pair.
     """
-    ids, table, joint = pair_marginal(f, w, world)
-    marginals = dict(zip(ids, bit_marginals(table)))
-    for message in describe_mismatches(f, marginals) + describe_mismatches(w, marginals):
+    joint = pair_joint(f, w, world)  # first, so an unknown property raises before any warning
+    for message in degree_mismatches(f, world) + degree_mismatches(w, world):
         warnings.warn(message, DegreeMismatchWarning, stacklevel=2)
     p_f = min(1.0, float(joint[2] + joint[3]))
     p_w = min(1.0, float(joint[1] + joint[3]))

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import concept_at, world_from_dist, worlds
 from intension.cli import build_score_report
 from intension.closed_forms import ExtensionalPair, singleton_reduction_check
@@ -29,6 +34,7 @@ from intension.model import (
     check_universe,
     degree_mismatches,
     joint_event_probability,
+    pair_joint,
     world_from_instances,
 )
 from intension.shannon import interaction_information, shannon_inheritance
@@ -367,10 +373,20 @@ class TestMarginalTable:
                 report, code = build_score_report(world, concept_at(world, "f", ids[:6]), concept_at(world, "w", ids[4:]))
                 assert code == 0 and report.warnings == []
             _, peak = tracemalloc.get_traced_memory()
+            wide_peaks = []
+            for world in (independent, exclusive):  # F and W cover all 24 properties and share two
+                f, w = concept_at(world, "f", world.universe[:12]), concept_at(world, "w", world.universe[-14:])
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                report, code = build_score_report(world, f, w)
+                wide_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                assert code == 0 and report.warnings == []
         finally:
             tracemalloc.stop()
         assert extensional == 0.5 and intensional == pytest.approx(0.5, abs=1e-12)
         assert peak < (8 << 24) // 4, f"peak {peak / 2**20:.1f} MiB"
+        # a table over the 24 pooled properties would be 128 MiB
+        assert max(wide_peaks) < 1 << 20, f"wide-pair peaks {[round(p / 2**20, 1) for p in wide_peaks]} MiB"
         assert "probs" not in vars(independent) and "probs" not in vars(exclusive)
 
     @staticmethod
@@ -387,26 +403,22 @@ class TestMarginalTable:
             monkeypatch.setattr(WorldModel, name, None)  # any other pass would fail the score
         return calls
 
-    def test_score_reads_the_table_once(self, monkeypatch):
-        calls = self.count_passes(monkeypatch)
+    def test_score_reads_no_marginal_table(self, monkeypatch):
+        def refuse(self, ids):
+            raise AssertionError(f"a score read the marginal table over {tuple(ids)}")
+
         world = build_independent_world([f"v{i}" for i in range(8)], [0.1 * (i + 1) for i in range(8)])
+        null = build_independent_world([f"v{i}" for i in range(8)], [0.0] + [0.5] * 7)
+        f_null, w_null = concept_at(null, "f", ("v0",)), concept_at(null, "w", ("v3", "v6"))
+        monkeypatch.setattr(WorldModel, "marginal_table", refuse)
         f = Concept("f", (("v0", 0.1), ("v1", 0.2), ("v2", 0.3)))
         w = Concept("w", (("v2", 0.3), ("v5", 0.9)))  # v5 is declared off its marginal
         with pytest.warns(DegreeMismatchWarning) as caught:
             shannon_inheritance(f, w, world)
         assert [str(item.message).split(":")[0] for item in caught] == ["degree-mismatch v5"]
-        assert len(calls) == 1
-        assert sorted(calls[0]) == ["v0", "v1", "v2", "v5"]
-
-    def test_null_antecedent_score_reads_the_table_once(self, monkeypatch):
-        world = build_independent_world([f"v{i}" for i in range(8)], [0.0] + [0.5] * 7)
-        f = concept_at(world, "f", ("v0",))
-        w = concept_at(world, "w", ("v3", "v6"))
-        calls = self.count_passes(monkeypatch)
-        report, code = build_score_report(world, f, w)
+        report, code = build_score_report(null, f_null, w_null)
         assert (code, report.exact_conditional) == (3, "undefined")
         assert report.shannon_estimate == 0.75 and report.mutual_information_shannon == 0.0
-        assert len(calls) == 1
 
     def test_interaction_reads_the_table_once(self, monkeypatch):
         world = WorldModel.from_weights(tuple(f"v{i}" for i in range(6)), np.arange(1.0, 65.0))
@@ -425,6 +437,70 @@ class TestMarginalTable:
         finally:
             tracemalloc.stop()
         assert peak < world.probs.nbytes
+
+
+class TestPairJoint:
+    @staticmethod
+    def check(world, f_pos, w_pos):
+        universe = world.universe
+        f, w = (Concept(name, tuple((universe[i], 0.5) for i in pos)) for name, pos in (("f", f_pos), ("w", w_pos)))
+        got = pair_joint(f, w, world)
+        size = len(universe)
+        dist = {tuple(m >> i & 1 for i in range(size)): p for m, p in enumerate(world.probs.tolist())}
+        want = oracles.indicator_joint(dist, f_pos, w_pos)
+        assert got.shape == (4,)
+        for cell, value in enumerate(got.tolist()):
+            assert abs(value - want.get(divmod(cell, 2), 0.0)) <= 1e-12
+
+    @given(
+        st.sampled_from(["dense", "independent", "exclusive", "instances"]),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=120)
+    def test_matches_the_dense_joint(self, kind, size, seed, data):
+        world = world_of_kind(kind, size, seed)
+        f_pos = data.draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+        w_pos = data.draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+        self.check(world, f_pos, w_pos)
+
+    @given(st.data())
+    @settings(max_examples=120)
+    def test_matches_the_dense_joint_at_extreme_marginals(self, data):
+        marginals = data.draw(st.lists(st.sampled_from([0.0, 1e-300, 1e-12, 0.5, 1.0]), min_size=1, max_size=10))
+        size = len(marginals)
+        world = build_independent_world([f"v{i}" for i in range(size)], marginals)
+        f_pos = data.draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+        w_pos = data.draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+        self.check(world, f_pos, w_pos)
+
+    def test_same_floats_under_any_hash_seed(self):
+        # the order in which a product world multiplies its factors decides the last bit of every field
+        script = (
+            "import dataclasses\n"
+            "from intension.model import Concept, build_independent_world\n"
+            "from intension.shannon import shannon_inheritance\n"
+            "ids = [f'prop-{i}' for i in range(16)]\n"
+            "world = build_independent_world(ids, [0.013 + 0.061 * i for i in range(16)])\n"
+            "f = Concept('f', tuple((p, world.marginal(p)) for p in ids[:10]))\n"
+            "w = Concept('w', tuple((p, world.marginal(p)) for p in reversed(ids[4:])))\n"
+            "result = shannon_inheritance(f, w, world)\n"
+            "print([repr(getattr(result, field.name)) for field in dataclasses.fields(result)])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestConceptEventProbability:
