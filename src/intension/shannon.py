@@ -1,7 +1,9 @@
 """Entropies, mutual information, and the Shannon inheritance estimate.
 
-All quantities are base-2 (bits) with the 0*log 0 = 0 convention, computed
-exactly from a WorldModel's marginal tables. The multivariate interaction
+All quantities are base-2 (bits), computed exactly from a WorldModel's
+marginal tables. Every table entropy goes through one kernel, -sum p*log2(p)
+over each row of cells, where a zero cell adds 0*log2(0) = 0 in place: it
+is summed like any other cell, never dropped. The multivariate interaction
 measure uses the McGill inclusion-exclusion convention over subset
 entropies, anchored so that two variables give ordinary nonnegative mutual
 information and the 3-variable parity (XOR) world gives -1 bit.
@@ -44,16 +46,11 @@ def binary_entropy(d: float) -> float:
     return -(d * math.log2(d) + (1.0 - d) * math.log2(1.0 - d))
 
 
-def _table_entropy(probs: np.ndarray) -> float:
-    nz = probs[probs > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def _pair_entropies(joint: np.ndarray) -> tuple[float, float, float]:
     # cell sums can drift a hair past 1 in float; clamp before validating
     h_f = binary_entropy(min(1.0, float(joint[2] + joint[3])))
     h_w = binary_entropy(min(1.0, float(joint[1] + joint[3])))
-    return h_f, h_w, _table_entropy(joint)
+    return h_f, h_w, float(_entropy(joint))
 
 
 def _mutual_information(joint: np.ndarray) -> float:
@@ -98,10 +95,9 @@ def _lattice_terms(table: np.ndarray, t: int) -> list[float]:
     tables with L bits folded, its rows ordered by their lowest folded bit, highest first. The tables that may still
     fold bit j (all their folded bits above j) are then a prefix of each level, so at bit j one reshape per level
     halves them and appends the halves to the next level. Each subset's bits are folded high to low as in the
-    reference `marginalize` of tests/oracles.py, so each H(T) is the same float as a direct marginal's. Rows with no
-    zero are summed as rows of their level's block; only the rows that hold a zero, from all levels, have their nonzero
-    cells packed and are summed in one pass, rows of equal count together. Either way numpy sums a row exactly as it
-    sums that row alone. The caller sums the terms exactly.
+    reference `marginalize` of tests/oracles.py. Each level's block is then summed as rows by `_entropy`, zero cells
+    in place, and numpy sums a row exactly as it sums that row alone: each H(T) is the same float as `_entropy` of
+    the direct marginal. The caller sums the terms exactly.
     """
     rows = [math.comb(t, level) for level in range(t + 1)]
     starts = np.cumsum([0] + [r << (t - level) for level, r in enumerate(rows)]).tolist()
@@ -115,54 +111,20 @@ def _lattice_terms(table: np.ndarray, t: int) -> list[float]:
             out = buf[at : at + n // 2].reshape(-1, 1 << bit).T
             np.add(halves[:, 0], halves[:, 1], out=out, order="C" if bit < 4 else "K")
             filled[level + 1] += filled[level]
-    levels = [buf[starts[level] : starts[level + 1]].reshape(rows[level], -1) for level in range(t)]
-    # a fold adds nonnegative cells, so a table with no zero folds only into tables with no zero: the levels where no
-    # row holds a zero are the highest ones, and below them come the levels where some row holds none
-    clean = t
-    while clean and levels[clean - 1].min() > 0:
-        clean -= 1
-    held = {}  # the rows that hold a zero, on each level below `clean` down to the first where all do (as all below do)
-    for level in reversed(range(clean)):
-        held[level] = ~(levels[level] > 0).all(axis=1)
-        if held[level].all():
-            break
-    terms, counts, signs, packed = [], [], [], 0
-    for level, block in enumerate(levels):
-        sign, step = (-1.0) ** (t - level), max(1, _CHUNK >> (t - level))
-        for first in range(0, rows[level], step):
-            part = block[first : first + step]
-            if level >= clean:
-                terms.append(sign * _plogp_row_sums(part))
-                continue
-            keep = part > 0
-            zero = held[level][first : first + step] if level in held else None
-            if zero is not None and not zero.all():
-                terms.append(sign * _plogp_row_sums(part[~zero]))
-                keep &= zero[:, None]
-            # pack the nonzero p*log2(p) of the rows with a zero to the front of the buffer, never past the unread cells
-            idx = np.flatnonzero(keep)
-            nz, out = part.ravel()[idx], buf[packed : packed + idx.size]
-            np.log2(nz, out=out)
-            out *= nz
-            packed += idx.size
-            count = np.diff(np.searchsorted(idx, np.arange(0, keep.size + 1, keep.shape[1])))
-            counts.append(count if zero is None else count[zero])
-            signs.append(sign)
-    if counts:
-        signs, counts = np.repeat(signs, [c.size for c in counts]), np.concatenate(counts)
-        begins = np.cumsum(counts) - counts
-        for m in np.flatnonzero(np.bincount(counts)):
-            same, step = np.flatnonzero(counts == m), max(1, _CHUNK // m)
-            for first in range(0, same.size, step):
-                part = same[first : first + step]
-                terms.append(signs[part] * buf[begins[part, None] + np.arange(m)].sum(axis=1))
+    terms = []
+    for level in range(t):
+        block = buf[starts[level] : starts[level + 1]].reshape(rows[level], -1)
+        sign, step = (-1.0) ** (t - level + 1), max(1, _CHUNK >> (t - level))
+        terms += [sign * _entropy(block[first : first + step]) for first in range(0, rows[level], step)]
     return np.concatenate(terms).tolist()
 
 
-def _plogp_row_sums(rows: np.ndarray) -> np.ndarray:
-    x = np.log2(rows)
-    x *= rows
-    return x.sum(axis=1)
+def _entropy(probs: np.ndarray) -> np.ndarray:
+    """-sum of p*log2(p) along the last axis, where a zero cell adds 0*log2(0) = 0 in place."""
+    plogp = np.add(probs, probs == 0)  # a zero cell reads as 1, whose log2 is exactly 0; no other cell changes
+    np.log2(plogp, out=plogp)
+    plogp *= probs
+    return -plogp.sum(axis=-1)
 
 
 def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> float:
@@ -177,7 +139,7 @@ def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> f
     if len(pooled) > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{len(pooled)} pooled properties exceeds the cap of {MAX_LATTICE_VARS}")
     per_property = sum(binary_entropy(world.marginal(pid)) for pid in f.ids + w.ids)
-    return (per_property - _table_entropy(world.marginal_table(pooled))) - _mutual_information(pair_joint(f, w, world))
+    return (per_property - float(_entropy(world.marginal_table(pooled)))) - _mutual_information(pair_joint(f, w, world))
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,18 @@ TOL = 1e-9
 
 
 def subset_loop_terms(ids, world):
-    """Signed (-1)**(|T|+1) * H(T) per nonempty subset, each from a direct marginal as np.sum of its -p*log2(p)."""
+    """Signed (-1)**(|T|+1) * H(T) per nonempty subset, each from a direct marginal as np.sum of its -p*log2(p).
+
+    Every cell of the marginal is summed, a zero cell as 0*log2(0) = 0 in place.
+    """
     t = len(ids)
     table = world.marginal_table(ids)
     terms = []
     for subset in range(1, 1 << t):
         part = marginalize(table, [j for j in range(t) if subset >> j & 1])
-        nz = part[part > 0]
-        terms.append((1.0 if subset.bit_count() % 2 else -1.0) * float(-(nz * np.log2(nz)).sum()))
+        logs = np.zeros_like(part)
+        np.log2(part, out=logs, where=part > 0)
+        terms.append((1.0 if subset.bit_count() % 2 else -1.0) * float(-(part * logs).sum()))
     return terms
 
 
@@ -52,6 +56,14 @@ def parity_and_copy_world():
     cells = np.arange(1 << 14)
     even = np.array([bin(c & 0xFFF).count("1") % 2 == 0 for c in cells])
     weights = even * np.select([cells >> 12 == 0, cells >> 12 == 3], [0.7, 0.3], 0.0)
+    return WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+
+
+def lattice_world(kind, rng):
+    """14 variables: random weights ("dense"), the same with about 30% of the cells zero, or parity_and_copy_world."""
+    if kind == "parity-and-copy":
+        return parity_and_copy_world()
+    weights = rng.random(1 << 14) * (rng.random(1 << 14) > (0.3 if kind == "30%-zeros" else 0.0))
     return WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
 
 
@@ -269,11 +281,7 @@ class TestInteractionInformation:
     def test_fold_sums_to_the_subset_loop_exactly(self, kind, t):
         # t of 14 variables in shuffled order; the parity world holds a 12-bit XOR block and a copied pair
         rng = np.random.default_rng(t)
-        if kind == "parity-and-copy":
-            world = parity_and_copy_world()
-        else:
-            weights = rng.random(1 << 14) * (rng.random(1 << 14) > (0.3 if kind == "30%-zeros" else 0.0))
-            world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+        world = lattice_world(kind, rng)
         ids = [world.universe[i] for i in rng.permutation(14)[:t]]
         assert interaction_information(ids, world).value == subset_loop_interaction(ids, world)
 
@@ -295,9 +303,10 @@ class TestInteractionInformation:
             ids = [world.universe[i] for i in rng.permutation(14)[:12]]
         assert sorted(_lattice_terms(world.marginal_table(ids), 12)) == sorted(subset_loop_terms(ids, world))
 
-    def test_lattice_allocates_a_bounded_buffer(self):
-        # the 3**12-cell fold buffer is 4 MiB; the scratch around it stays small
-        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), np.random.default_rng(0).random(1 << 14))
+    @pytest.mark.parametrize("kind", ["dense", "30%-zeros", "parity-and-copy"])
+    def test_lattice_allocates_a_bounded_buffer(self, kind):
+        # the 3**12-cell fold buffer is 4 MiB; the scratch around it stays small, whatever share of the cells is zero
+        world = lattice_world(kind, np.random.default_rng(0))
         ids = list(world.universe[:12])
         interaction_information(ids, world)
         tracemalloc.start()
@@ -505,6 +514,8 @@ class TestAdversarialWorlds:
             assert report.mutual_information >= -1e-12
             expected = oracles.exact_conditional(dist, f_idx, w_idx)
             assert math.isclose(report.exact_conditional, expected, rel_tol=1e-9, abs_tol=0.0)
+        lattice = interaction_information(world.universe, world).value
+        assert lattice == pytest.approx(oracles.interaction_information(dist, range(size)), abs=TOL)
 
     def test_rare_antecedent_keeps_its_digits(self):
         world = rare_world()
@@ -533,6 +544,8 @@ class TestAdversarialWorlds:
         w_idx = tuple(rng.sample(range(size), rng.randint(1, size)))
         f = concept_at(world, "f", [world.universe[i] for i in f_idx])
         w = concept_at(world, "w", [world.universe[i] for i in w_idx])
+        lattice = interaction_information(world.universe, world).value
+        assert lattice == pytest.approx(oracles.interaction_information(dist, range(size)), abs=TOL)
         p_f = oracles.union_probability(dist, f_idx)
         assert math.isclose(world.union_probability(f.ids), p_f, rel_tol=1e-9)
         if p_f == 0.0:
