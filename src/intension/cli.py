@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--from", dest="from_name", required=True, help="antecedent concept name")
     score.add_argument("--to", dest="to_name", required=True, help="consequent concept name")
     score.add_argument("--algorithmic", action="store_true", help="also run the compression engine")
-    score.add_argument("--compressor", default="deflate", help=f"one of: {', '.join(sorted(BUILTIN_COMPRESSORS))}")
+    score.add_argument("--compressor", default="deflate", choices=sorted(BUILTIN_COMPRESSORS), help="for --algorithmic")
     score.set_defaults(handler=_cmd_score)
 
     exclusive = sub.add_parser("exclusive", help="closed forms for the mutually exclusive case")

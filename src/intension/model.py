@@ -103,8 +103,9 @@ class Concept:
             raise InvalidConcept(f"concept {self.name!r} repeats properties: {dupes}")
         object.__setattr__(self, "properties", props)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
+        # cached: a tuple rebuilt from a generator per call is freed onto CPython's tuple free list, up to 2000 per size
         return tuple(p for p, _ in self.properties)
 
 
@@ -112,7 +113,8 @@ class Concept:
 class WorldModel:
     """Joint distribution over s binary property variables, in one of two kinds.
 
-    A product world (`build_independent_world`) holds s marginals; a
+    A product world (`build_independent_world`) holds s marginals as a
+    tuple of Python floats, so a small query is scalar arithmetic; a
     support-row world (`from_weights`, `build_exclusive_world`,
     `world_from_instances`) holds an int64 array of row bitmasks and a
     float64 array of raw weights. Both answer every query through `_kept`:
@@ -124,7 +126,7 @@ class WorldModel:
     """
 
     universe: tuple[str, ...]
-    _marginals: np.ndarray | None = field(default=None, repr=False)  # product world: P(property i) at position i
+    _marginals: tuple[float, ...] | None = field(default=None, repr=False)  # product world: P(property i) at position i
     _rows: tuple[np.ndarray, np.ndarray, float] | None = field(default=None, repr=False)  # masks, raw weights, total
 
     @classmethod
@@ -161,17 +163,19 @@ class WorldModel:
 
         Groups are disjoint lists of universe positions; the answer is read from the world's own structure. A product
         world keeps, per group, P(none) and P(some) as the running sum some += none * mu, never 1 - P(none), so a tiny
-        P(some) keeps its digits; a one-property group gives exactly mu and 1 - mu.
+        P(some) keeps its digits; a one-property group gives exactly mu and 1 - mu. Those sums are Python floats, and
+        numpy is called once per group: the first group's two cells, then each later group scales the table by its two.
         """
         if self._marginals is not None:
-            table = np.array([1.0])
+            marginals, table = self._marginals, None
             for group in groups:
                 none, some = 1.0, 0.0
-                for mu in self._marginals[group].tolist():
+                for pos in group:
+                    mu = marginals[pos]
                     some += none * mu
                     none *= 1.0 - mu
-                table = np.concatenate([table * none, table * some])
-            return table
+                table = np.array((none, some)) if table is None else np.concatenate((table * none, table * some))
+            return np.array([1.0]) if table is None else table
         masks, weights, total = self._rows
         key = np.zeros(len(masks), dtype=np.int64)
         for k, group in enumerate(groups):
@@ -224,7 +228,7 @@ def build_independent_world(universe: Sequence[str], marginals: Sequence[float])
     universe = check_universe(universe)
     if len(universe) != len(marginals):
         raise ValueError(f"{len(universe)} ids but {len(marginals)} marginals")
-    return WorldModel(universe, _marginals=np.array([check_degree(mu, "marginal") for mu in marginals]))
+    return WorldModel(universe, _marginals=tuple(check_degree(mu, "marginal") for mu in marginals))
 
 
 @dataclass(frozen=True)

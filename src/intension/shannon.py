@@ -121,7 +121,7 @@ def _lattice_terms(table: np.ndarray, t: int) -> list[float]:
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
     """-sum of p*log2(p) along the last axis, where a zero cell adds 0*log2(0) = 0 in place."""
-    plogp = np.add(probs, probs == 0)  # a zero cell reads as 1, whose log2 is exactly 0; no other cell changes
+    plogp = np.maximum(probs, math.ulp(0.0))  # a zero cell reads as 5e-324: log2 is -1074, and 0 * -1074 adds -0.0
     np.log2(plogp, out=plogp)
     plogp *= probs
     return -plogp.sum(axis=-1)

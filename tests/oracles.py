@@ -3,12 +3,16 @@
 A distribution here is a dict mapping assignment tuples (one 0/1 entry
 per variable) to probability. Entropies are direct plug-in sums over
 dict projections; nothing is shared with the package's bitmask bucketing.
-The one exception is `marginalize`, which folds a numpy table of 2**n
-cells: it is the reference for the fold order of the interaction lattice.
+The two exceptions work on numpy arrays: `marginalize` folds a table of
+2**n cells and is the reference for the fold order of the interaction
+lattice, and `product_kept` is the bit-for-bit reference of a product
+world's query.
 """
 
 import math
 from itertools import combinations, product
+
+import numpy as np
 
 
 def uniform_one_hot(size):
@@ -95,3 +99,20 @@ def marginalize(table, keep):
             halves = table.reshape(-1, 2, 1 << bit)
             table = halves[:, 0] + halves[:, 1]
     return table.reshape(-1)
+
+
+def product_kept(marginals, groups):
+    """A product world's query, built in numpy from the first group: 2**len(groups) cells, bit k set iff group k holds.
+
+    Per group, P(none) and P(some) are the running sums some += none * mu and none *= 1 - mu. The table starts as
+    [1.0], and each group concatenates table * none and table * some.
+    """
+    marginals = np.array(marginals, dtype=np.float64)
+    table = np.array([1.0])
+    for group in groups:
+        none, some = 1.0, 0.0
+        for mu in marginals[list(group)].tolist():
+            some += none * mu
+            none *= 1.0 - mu
+        table = np.concatenate([table * none, table * some])
+    return table

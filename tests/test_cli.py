@@ -175,8 +175,9 @@ class TestScoreCommand:
         assert code == 2
         assert err
 
-    def test_unknown_compressor_exits_2(self, capsys):
-        argv = GOLDEN_INVOCATIONS["score_self.txt"] + ["--algorithmic", "--compressor", "nope"]
+    @pytest.mark.parametrize("extra", [["--algorithmic"], []], ids=["algorithmic", "shannon-only"])
+    def test_unknown_compressor_exits_2(self, capsys, extra):
+        argv = GOLDEN_INVOCATIONS["score_self.txt"] + extra + ["--compressor", "nope"]
         code, _, err = invoke(capsys, argv)
         assert code == 2
         assert "nope" in err

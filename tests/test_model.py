@@ -46,6 +46,9 @@ class TestConcept:
     def test_holds_pairs(self):
         c = Concept("bird", (("beak", 1.0), ("flies", 0.9)))
         assert c.ids == ("beak", "flies")
+        assert c.ids is c.ids  # built once per concept, not on every read
+        twin = Concept("bird", (("beak", 1.0), ("flies", 0.9)))
+        assert c == twin and hash(c) == hash(twin)
         assert dict(c.properties)["flies"] == 0.9
 
     def test_rejects_empty(self):
@@ -135,6 +138,29 @@ class TestBuildIndependentWorld:
             assert world.marginal(pid) == pytest.approx(mu, abs=TOL)
             single = Concept("c", ((pid, mu),))
             assert world.union_probability(single.ids) == pytest.approx(mu, abs=TOL)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_query_is_the_numpy_build_bit_for_bit(self, data):
+        # 0-3 disjoint groups, some possibly empty, or 12 singleton groups, in a drawn order; marginals from the
+        # extremes or uniform. Every cell must be the float of the numpy reference, and a marginal exactly mu.
+        singletons = data.draw(st.booleans())
+        mus = st.sampled_from([0.0, 1e-300, 1e-12, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        marginals = data.draw(st.lists(mus, min_size=12 if singletons else 1, max_size=16))
+        order = data.draw(st.permutations(range(len(marginals))))
+        if singletons:
+            groups = [[pos] for pos in order[:12]]
+        else:
+            count = data.draw(st.integers(0, 3))
+            owner = data.draw(st.lists(st.integers(-1, count - 1), min_size=len(order), max_size=len(order)))
+            groups = [[pos for pos in order if owner[pos] == k] for k in range(count)]
+        universe = [f"v{i}" for i in range(len(marginals))]
+        world = build_independent_world(universe, marginals)
+        got, want = world._kept(groups), oracles.product_kept(marginals, groups)
+        assert got.shape == want.shape == (1 << len(groups),)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for pid, mu in zip(universe, marginals):
+            assert world.marginal(pid) == mu
 
 
 class TestBuildExclusiveWorld:

@@ -19,6 +19,7 @@ from intension.model import (
 )
 from intension.shannon import (
     INTERACTION_CONVENTION,
+    _entropy,
     _lattice_terms,
     binary_entropy,
     concept_pair_entropies,
@@ -119,6 +120,24 @@ class TestSubsetEntropy:
         world = build_independent_world(["a"], [0.5])
         with pytest.raises(UnknownProperty):
             world.marginal_table(["zzz"])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [1.0, 0.0],
+            [0.5, 0.5 - 5e-324, 5e-324, 0.0],
+            [0.0] * 9 + [1.0] + [0.0] * 6,
+            [[0.0, 1.0, 0.0, 0.0], [0.25, 0.0, 0.5, 0.25]],
+        ],
+        ids=["certain", "subnormal-cell", "one-of-16", "two-rows"],
+    )
+    def test_kernel_is_the_masked_log(self, rows):
+        # a zero cell adds 0*log2(0) = 0 in place: the same float as a masked log2, down to the sign of a zero sum
+        p = np.array(rows)
+        logs = np.zeros_like(p)
+        np.log2(p, out=logs, where=p > 0)
+        want = np.atleast_1d(-(p * logs).sum(axis=-1))
+        assert np.array_equal(np.atleast_1d(_entropy(p)).view(np.int64), want.view(np.int64))
 
 
 class TestConceptPairEntropies:
