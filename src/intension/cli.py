@@ -26,7 +26,6 @@ from .closed_forms import (
     ExtensionalPair,
     exclusive_algorithmic,
     exclusive_shannon,
-    extensional_inheritance,
     framework_discrepancy,
     singleton_reduction_check,
 )
@@ -44,17 +43,13 @@ ESTIMATE_WARNING = "estimate>1"
 EXTENSIONAL_MATCH_TOL = 1e-12
 
 
-def format_number(x: float) -> str:
-    return format(float(x), f".{SIGNIFICANT_DIGITS}g")
-
-
 def _value(v, as_json: bool) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return format_number(v)
+        return format(float(v), f".{SIGNIFICANT_DIGITS}g")
     if isinstance(v, (list, tuple)):
         items = [_value(x, as_json) for x in v]
         return "[" + ", ".join(items) + "]" if as_json else ",".join(items)
@@ -104,7 +99,7 @@ def build_score_report(
         warnings.simplefilter("always")
         rep = shannon_inheritance(f, w, world)
     extra = {str(item.message) for item in caught}
-    if rep.estimate_conditional > 1.0:
+    if rep.estimate_exceeds_one:
         extra.add(ESTIMATE_WARNING)
 
     algo_estimate: float | str = SKIPPED

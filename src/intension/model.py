@@ -115,35 +115,19 @@ class WorldModel:
 
     A product world (`build_independent_world`) holds s marginals as a
     tuple of Python floats, so a small query is scalar arithmetic; a
-    support-row world (`from_weights`, `build_exclusive_world`,
-    `world_from_instances`) holds an int64 array of row bitmasks and a
-    float64 array of raw weights. Both answer every query through `_kept`:
-    given disjoint groups of properties, the probability of each pattern of
-    which groups hold. probs[mask] is the probability of the assignment
-    where property i holds iff bit i of mask is set; both kinds build it on
-    first read. Every kind keeps the 24-property cap. Tables are read-only;
-    instances are safe to share across threads.
+    support-row world (`world_from_instances`, `build_exclusive_world`)
+    holds an int64 array of row bitmasks and a float64 array of raw
+    weights. Both answer every query through `_kept`: given disjoint groups
+    of properties, the probability of each pattern of which groups hold.
+    probs[mask] is the probability of the assignment where property i holds
+    iff bit i of mask is set; both kinds build it on first read. Every kind
+    keeps the 24-property cap. Tables are read-only; instances are safe to
+    share across threads.
     """
 
     universe: tuple[str, ...]
     _marginals: tuple[float, ...] | None = field(default=None, repr=False)  # product world: P(property i) at position i
     _rows: tuple[np.ndarray, np.ndarray, float] | None = field(default=None, repr=False)  # masks, raw weights, total
-
-    @classmethod
-    def from_weights(cls, universe: Sequence[str], weights: Sequence[float] | np.ndarray) -> "WorldModel":
-        """Support-row world over the nonzero cells of a table of 2**s weights, index bit i for property i."""
-        universe = check_universe(universe)
-        s = len(universe)
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (1 << s,):
-            raise ValueError(f"expected {1 << s} weights for {s} properties, got {w.shape}")
-        lo, hi = float(w.min()), float(w.max())  # reductions, so no mask the size of the table
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("weights must be finite")
-        if lo < 0:
-            raise ValueError("weights must be nonnegative")
-        masks = np.flatnonzero(w)
-        return cls(universe, _rows=(masks, w[masks], _checked_total(w)))
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -302,10 +286,10 @@ def joint_event_probability(f: Concept, w: Concept, world: WorldModel) -> float:
     return min(1.0, float(pair_joint(f, w, world)[3]))
 
 
-def degree_mismatches(concept: Concept, world: WorldModel, tol: float = DEGREE_MISMATCH_TOL) -> list[str]:
+def degree_mismatches(concept: Concept, world: WorldModel) -> list[str]:
     """Human-readable descriptions of degree vs world-marginal disagreements."""
     return [
         f"degree-mismatch {pid}: concept {concept.name!r} declares {declared:.6g}, world marginal is {marginal:.6g}"
         for pid, declared in concept.properties
-        if abs((marginal := world.marginal(pid)) - declared) > tol
+        if abs((marginal := world.marginal(pid)) - declared) > DEGREE_MISMATCH_TOL
     ]

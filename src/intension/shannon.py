@@ -53,11 +53,6 @@ def _pair_entropies(joint: np.ndarray) -> tuple[float, float, float]:
     return h_f, h_w, float(_entropy(joint))
 
 
-def _mutual_information(joint: np.ndarray) -> float:
-    h_f, h_w, h_fw = _pair_entropies(joint)
-    return h_f + h_w - h_fw
-
-
 def concept_pair_entropies(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float]:
     """(H(F), H(W), H(F,W)) of the two concept-event indicator variables."""
     return _pair_entropies(pair_joint(f, w, world))
@@ -127,21 +122,6 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
-def total_interaction_adjustment(f: Concept, w: Concept, world: WorldModel) -> float:
-    """Dependency correction that closes the property-entropy decomposition.
-
-    Returns (sum_i H(F_i) + sum_j H(W_j) - H(all properties jointly))
-    minus the directly computed I(F;W). Zero when all properties are
-    independent and the concepts are disjoint singletons; reported for
-    diagnostics, never used as the computation path.
-    """
-    pooled = list(dict.fromkeys(f.ids + w.ids))
-    if len(pooled) > MAX_LATTICE_VARS:
-        raise SubsetTooLarge(f"{len(pooled)} pooled properties exceeds the cap of {MAX_LATTICE_VARS}")
-    per_property = sum(binary_entropy(world.marginal(pid)) for pid in f.ids + w.ids)
-    return (per_property - float(_entropy(world.marginal_table(pooled)))) - _mutual_information(pair_joint(f, w, world))
-
-
 @dataclass(frozen=True)
 class ShannonInheritance:
     """Exact conditional next to the mutual-information estimate.
@@ -176,7 +156,7 @@ def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInh
         warnings.warn(message, DegreeMismatchWarning, stacklevel=2)
     p_f = min(1.0, float(joint[2] + joint[3]))
     p_w = min(1.0, float(joint[1] + joint[3]))
-    mi = _mutual_information(joint)
+    mi = binary_entropy(p_f) + binary_entropy(p_w) - float(_entropy(joint))
     estimate = p_w * 2.0 ** mi
     exact = min(1.0, float(joint[3])) / p_f if p_f else None
     return ShannonInheritance(

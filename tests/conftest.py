@@ -4,7 +4,12 @@ import numpy as np
 from compressor_noise import random_concept  # scripts/ is on the pytest path: one copy for tests and script
 from hypothesis import strategies as st
 
-from intension.model import Concept, WorldModel
+from intension.model import Concept, world_from_instances
+
+
+def dense_world(universe, weights):
+    """Row world with one row per cell of a table of 2**s weights, index bit i for property i."""
+    return world_from_instances(universe, range(1 << len(universe)), weights)
 
 
 def world_from_dist(universe, dist):
@@ -13,7 +18,7 @@ def world_from_dist(universe, dist):
     for assignment, p in dist.items():
         mask = sum(1 << i for i, bit in enumerate(assignment) if bit)
         weights[mask] += p
-    return WorldModel.from_weights(universe, weights)
+    return dense_world(universe, weights)
 
 
 def concept_at(world, name, ids):
@@ -40,7 +45,7 @@ def worlds(draw, min_vars=1, max_vars=5):
             max_size=1 << size,
         ).filter(lambda ws: sum(ws) > 1e-9)
     )
-    return WorldModel.from_weights(tuple(f"v{i}" for i in range(size)), weights)
+    return dense_world(tuple(f"v{i}" for i in range(size)), weights)
 
 
 @st.composite

@@ -15,15 +15,6 @@ from itertools import combinations, product
 import numpy as np
 
 
-def uniform_one_hot(size):
-    """One variable holds at a time, uniformly."""
-    dist = {}
-    for i in range(size):
-        assignment = tuple(1 if j == i else 0 for j in range(size))
-        dist[assignment] = 1.0 / size
-    return dist
-
-
 def normalize(dist):
     total = sum(dist.values())
     return {a: p / total for a, p in dist.items()}

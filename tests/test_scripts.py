@@ -1,5 +1,6 @@
-"""The calibration scripts run against the package as it is."""
+"""The calibration scripts and the README's Library example run against the package as it is."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,18 @@ def test_scripts_run_from_any_directory(script, arg, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    result = subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

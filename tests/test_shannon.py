@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import concept_at, world_from_dist, worlds, worlds_with_concept_pair
+from conftest import concept_at, dense_world, world_from_dist, worlds, worlds_with_concept_pair
 from oracles import marginalize
 from intension.errors import InvalidDegree, SubsetTooLarge, UnknownProperty
 from intension.model import (
     Concept,
     DegreeMismatchWarning,
-    WorldModel,
     build_exclusive_world,
     build_independent_world,
 )
@@ -25,7 +24,6 @@ from intension.shannon import (
     concept_pair_entropies,
     interaction_information,
     shannon_inheritance,
-    total_interaction_adjustment,
 )
 
 TOL = 1e-9
@@ -57,7 +55,7 @@ def parity_and_copy_world():
     cells = np.arange(1 << 14)
     even = np.array([bin(c & 0xFFF).count("1") % 2 == 0 for c in cells])
     weights = even * np.select([cells >> 12 == 0, cells >> 12 == 3], [0.7, 0.3], 0.0)
-    return WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+    return dense_world(tuple(f"v{i}" for i in range(14)), weights)
 
 
 def lattice_world(kind, rng):
@@ -65,7 +63,7 @@ def lattice_world(kind, rng):
     if kind == "parity-and-copy":
         return parity_and_copy_world()
     weights = rng.random(1 << 14) * (rng.random(1 << 14) > (0.3 if kind == "30%-zeros" else 0.0))
-    return WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+    return dense_world(tuple(f"v{i}" for i in range(14)), weights)
 
 
 def xor_world():
@@ -278,7 +276,7 @@ class TestInteractionInformation:
         rng = np.random.default_rng(100 + t)
         size = t + 2
         weights = rng.random(1 << size) * (rng.random(1 << size) > 0.3)
-        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(size)), weights)
+        world = dense_world(tuple(f"v{i}" for i in range(size)), weights)
         idx = rng.permutation(size)[:t]
         expected = oracles.interaction_information(dist_of(world), idx)
         value = interaction_information([world.universe[i] for i in idx], world).value
@@ -291,7 +289,7 @@ class TestInteractionInformation:
         rng = np.random.default_rng(seed)
         weights = np.zeros(1 << 14)
         weights[rng.choice(1 << 14, cells, replace=False)] = rng.random(cells)
-        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+        world = dense_world(tuple(f"v{i}" for i in range(14)), weights)
         ids = [world.universe[i] for i in rng.permutation(14)[:t]]
         assert interaction_information(ids, world).value == subset_loop_interaction(ids, world)
 
@@ -318,7 +316,7 @@ class TestInteractionInformation:
             elif kind == "5-cells":
                 weights = np.zeros(1 << 14)
                 weights[rng.choice(1 << 14, 5, replace=False)] = rng.random(5)
-            world = WorldModel.from_weights(tuple(f"v{i}" for i in range(14)), weights)
+            world = dense_world(tuple(f"v{i}" for i in range(14)), weights)
             ids = [world.universe[i] for i in rng.permutation(14)[:12]]
         assert sorted(_lattice_terms(world.marginal_table(ids), 12)) == sorted(subset_loop_terms(ids, world))
 
@@ -335,39 +333,6 @@ class TestInteractionInformation:
         finally:
             tracemalloc.stop()
         assert peak < 6 << 20
-
-
-class TestTotalInteractionAdjustment:
-    def test_independent_disjoint_singletons(self):
-        world = build_independent_world(["a", "b"], [0.3, 0.8])
-        f = concept_at(world, "f", ("a",))
-        w = concept_at(world, "w", ("b",))
-        assert total_interaction_adjustment(f, w, world) == pytest.approx(0.0, abs=TOL)
-
-    def test_identical_singleton(self):
-        world = build_independent_world(["a"], [0.3])
-        c = concept_at(world, "c", ("a",))
-        assert total_interaction_adjustment(c, c, world) == pytest.approx(0.0, abs=TOL)
-
-    def test_exclusive_2_2_1_identity(self):
-        world, f, w = build_exclusive_world(2, 2, 1)
-        # oracle recomputes both sides of the decomposition independently
-        dist = oracles.uniform_one_hot(3)
-        per_property = sum(oracles.entropy(dist, (i,)) for i in (0, 1)) + sum(
-            oracles.entropy(dist, (i,)) for i in (1, 2)
-        )
-        h_all = oracles.entropy(dist, (0, 1, 2))
-        mi = oracles.concept_mutual_information(dist, (0, 1), (1, 2))
-        expected = (per_property - h_all) - mi
-        assert total_interaction_adjustment(f, w, world) == pytest.approx(expected, abs=TOL)
-
-    def test_pooled_cap(self):
-        universe = tuple(f"v{i}" for i in range(13))
-        world = build_independent_world(universe, [0.5] * 13)
-        f = concept_at(world, "f", universe[:7])
-        w = concept_at(world, "w", universe[7:])
-        with pytest.raises(SubsetTooLarge):
-            total_interaction_adjustment(f, w, world)
 
 
 class TestShannonInheritance:
@@ -480,7 +445,7 @@ def dist_of(world):
 def tiny_world():
     """Masses near 1e-300, normalized against one another."""
     rng = np.random.default_rng(5)
-    return WorldModel.from_weights(tuple(f"v{i}" for i in range(6)), rng.integers(1, 9, 64) * 1e-300)
+    return dense_world(tuple(f"v{i}" for i in range(6)), rng.integers(1, 9, 64) * 1e-300)
 
 
 def tiny_cells_world():
@@ -488,13 +453,13 @@ def tiny_cells_world():
     weights = np.zeros(1 << 6)
     weights[0b000010], weights[0b111110], weights[0b000100] = 0.5, 0.25, 0.25
     weights[0b000001], weights[0b100011] = 1e-300, 3e-300
-    return WorldModel.from_weights(tuple(f"v{i}" for i in range(6)), weights)
+    return dense_world(tuple(f"v{i}" for i in range(6)), weights)
 
 
 def single_cell_world():
     weights = np.zeros(1 << 7)
     weights[0b1010010] = 3.0
-    return WorldModel.from_weights(tuple(f"v{i}" for i in range(7)), weights)
+    return dense_world(tuple(f"v{i}" for i in range(7)), weights)
 
 
 def rare_world():
@@ -557,7 +522,7 @@ class TestAdversarialWorlds:
         weights = np.array(weights[: 1 << size])
         if not weights.any():
             weights[-1] = 1.0
-        world = WorldModel.from_weights(tuple(f"v{i}" for i in range(size)), weights)
+        world = dense_world(tuple(f"v{i}" for i in range(size)), weights)
         dist = dist_of(world)
         f_idx = tuple(rng.sample(range(size), rng.randint(1, size)))
         w_idx = tuple(rng.sample(range(size), rng.randint(1, size)))
