@@ -287,9 +287,25 @@ class TestWorldModel:
         world = dense_world(("a", "b"), [1.0, 2.0, 3.0, 4.0])
         assert float(world.probs.sum()) == pytest.approx(1.0, abs=TOL)
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            dense_world(("a",), [-1.0, 2.0])
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            dense_world(("a",), [float("inf"), 1.0])
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            dense_world(("a", "b"), [0.5, 0.5])
+
     def test_rejects_duplicate_universe(self):
         with pytest.raises(InvalidProperty):
             dense_world(("a", "a"), [0.25] * 4)
+
+    def test_cap_checked_before_table(self):
+        with pytest.raises(UniverseTooLarge):
+            dense_world(tuple(f"v{i}" for i in range(25)), [1.0])
 
     def test_probs_frozen(self):
         world = dense_world(("a",), [0.5, 0.5])

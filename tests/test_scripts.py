@@ -1,11 +1,15 @@
 """The calibration scripts and the README's Library example run against the package as it is."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import intension
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,12 +57,16 @@ def test_scripts_run_from_any_directory(script, arg, tmp_path):
     assert result.stdout
 
 
-def test_readme_library_example_runs():
+def readme_library_block():
+    """The first python block under the README's Library heading."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1]
-    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    return library.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
     result = subprocess.run(
-        [sys.executable, "-c", block],
+        [sys.executable, "-c", readme_library_block()],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
@@ -66,3 +74,15 @@ def test_readme_library_example_runs():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_top_level_exports_the_readme_names():
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(readme_library_block()))
+        if isinstance(node, ast.ImportFrom) and node.module == "intension"
+        for alias in node.names
+    }
+    exported = {name for name, value in vars(intension).items() if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert exported == imported
+    assert intension.__version__
