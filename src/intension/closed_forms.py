@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyAntecedent, ZeroOverlap
 from .model import Concept, ExclusiveCaseParams, check_universe, world_from_instances
 from .shannon import shannon_inheritance
@@ -94,7 +92,7 @@ def singleton_reduction_check(pair: ExtensionalPair) -> tuple[float, float]:
     """
     extensional = extensional_inheritance(pair)
     universe = check_universe(f"x{i}" for i in range(1, pair.universe_size + 1))
-    world = world_from_instances(universe, 1 << np.arange(len(universe)), np.ones(len(universe)))
+    world = world_from_instances(universe, [1 << i for i in range(len(universe))], [1.0] * len(universe))
     degree = 1.0 / pair.universe_size
     f = Concept("F", tuple((f"x{i}", degree) for i in sorted(pair.f_extension)))
     w = Concept("W", tuple((f"x{i}", degree) for i in sorted(pair.w_extension)))

@@ -4,12 +4,12 @@ A concept is a named, weighted set of binary properties. A world model is
 an exact joint distribution over all property variables, indexed by
 bitmask (bit i set means property i of the universe holds). A world is
 a product of marginals or a set of weighted support rows (see
-`WorldModel`), and answers each query from that structure: neither kind
-keeps 2**s cells, and the table is built lazily, the first time `probs`
-is read. The universe stays capped at 24 variables. Every query asks
-which of a few disjoint groups of properties hold: a concept pair's
-indicator joint is one query of three groups, 8 cells however wide the
-pair.
+`WorldModel`), and answers each query from that structure in Python
+arithmetic: neither kind keeps 2**s cells, and numpy (`intension.lattice`)
+builds that table only when `probs` or `marginal_table` is read. The
+universe stays capped at 24 variables. Every query asks which of a few
+disjoint groups of properties hold: a concept pair's indicator joint is
+one query of three groups, 8 cells however wide the pair.
 
 A concept's event is the union (disjunction) of its property events: "x is
 the concept" means x holds at least one of the concept's properties. This
@@ -24,13 +24,13 @@ probabilities; the world model is ground truth, and a disagreement beyond
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
+from operator import add
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     EmptyTable,
@@ -114,59 +114,55 @@ class WorldModel:
     """Joint distribution over s binary property variables, in one of two kinds.
 
     A product world (`build_independent_world`) holds s marginals as a
-    tuple of Python floats, so a small query is scalar arithmetic; a
-    support-row world (`world_from_instances`, `build_exclusive_world`)
-    holds an int64 array of row bitmasks and a float64 array of raw
-    weights. Both answer every query through `_kept`: given disjoint groups
-    of properties, the probability of each pattern of which groups hold.
-    probs[mask] is the probability of the assignment where property i holds
-    iff bit i of mask is set; both kinds build it on first read. Every kind
-    keeps the 24-property cap. Tables are read-only; instances are safe to
-    share across threads.
+    tuple of Python floats; a support-row world (`world_from_instances`,
+    `build_exclusive_world`) holds its row bitmasks in an `array('q')` and
+    its raw weights in an `array('d')`. Both answer every query through
+    `_kept`: given disjoint groups of properties, the probability of each
+    pattern of which groups hold. probs[mask] is the probability of the
+    assignment where property i holds iff bit i of mask is set; both kinds
+    build it on first read. Every kind keeps the 24-property cap. Tables
+    are read-only; instances are safe to share across threads.
     """
 
     universe: tuple[str, ...]
     _marginals: tuple[float, ...] | None = field(default=None, repr=False)  # product world: P(property i) at position i
-    _rows: tuple[np.ndarray, np.ndarray, float] | None = field(default=None, repr=False)  # masks, raw weights, total
+    _rows: tuple[array, array, float] | None = field(default=None, repr=False)  # masks, raw weights, total
 
     @cached_property
-    def probs(self) -> np.ndarray:
-        """The dense table of 2**s probabilities, built on first read."""
-        s = len(self.universe)
-        if self._rows is None:
-            weights = self._kept([[pos] for pos in range(s)])
-        else:
-            weights = np.bincount(*self._rows[:2], minlength=1 << s)
-        probs = weights / _checked_total(weights)
-        probs.setflags(write=False)
-        assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
-        return probs
+    def probs(self):
+        """The dense table of 2**s probabilities, a read-only numpy array built on first read."""
+        from . import lattice
 
-    def _kept(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
+        return lattice.dense_probs(self)
+
+    def _kept(self, groups: Sequence[Sequence[int]]) -> list[float]:
         """P(each pattern of which groups hold): 2**len(groups) cells, bit k set iff some property of group k holds.
 
         Groups are disjoint lists of universe positions; the answer is read from the world's own structure. A product
         world keeps, per group, P(none) and P(some) as the running sum some += none * mu, never 1 - P(none), so a tiny
-        P(some) keeps its digits; a one-property group gives exactly mu and 1 - mu. Those sums are Python floats, and
-        numpy is called once per group: the first group's two cells, then each later group scales the table by its two.
+        P(some) keeps its digits; a one-property group gives exactly mu and 1 - mu. From [1.0], each group scales the
+        table by its two. A row world adds each row's weight into its cell in row order, as a weighted np.bincount
+        does, and divides by the total after summing.
         """
         if self._marginals is not None:
-            marginals, table = self._marginals, None
+            table = [1.0]
             for group in groups:
                 none, some = 1.0, 0.0
                 for pos in group:
-                    mu = marginals[pos]
+                    mu = self._marginals[pos]
                     some += none * mu
                     none *= 1.0 - mu
-                table = np.array((none, some)) if table is None else np.concatenate((table * none, table * some))
-            return np.array([1.0]) if table is None else table
+                table = [cell * none for cell in table] + [cell * some for cell in table]
+            return table
         masks, weights, total = self._rows
-        key = np.zeros(len(masks), dtype=np.int64)
+        keys = [0] * len(masks)
         for k, group in enumerate(groups):
-            key |= ((masks & sum(1 << pos for pos in group)) != 0).astype(np.int64) << k
-        kept = np.bincount(key, weights, minlength=1 << len(groups))
-        kept /= total  # after summing raw weights, and in place: a request for every property is 2**s cells
-        return kept
+            held, bit = sum(1 << pos for pos in group), 1 << k
+            keys = [key | bit if mask & held else key for key, mask in zip(keys, masks)]
+        kept = [0.0] * (1 << len(groups))
+        for key, weight in zip(keys, weights):
+            kept[key] += weight
+        return [cell / total for cell in kept]
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -181,25 +177,54 @@ class WorldModel:
 
     def marginal(self, pid: str) -> float:
         """P(property holds)."""
-        # min() guards against float accumulation drifting a hair past 1
-        return min(1.0, float(self._kept([[self.bit(pid)]])[1]))
+        return self.marginals((pid,))[0]
+
+    def marginals(self, ids: Iterable[str]) -> list[float]:
+        """P(each property holds), in the order given; a row world adds up all of them in one pass over its rows."""
+        positions = [self.bit(pid) for pid in ids]
+        if self._marginals is not None:
+            return [self._marginals[pos] for pos in positions]
+        masks, weights, total = self._rows
+        sums, bits = [0.0] * len(positions), list(enumerate(1 << pos for pos in positions))
+        for mask, weight in zip(masks, weights):
+            for j, bit in bits:
+                if mask & bit:
+                    sums[j] += weight
+        return [min(1.0, held / total) for held in sums]  # min(): float accumulation can drift a hair past 1
 
     def union_probability(self, ids: Iterable[str]) -> float:
         """P(at least one of the given properties holds); 0 for no properties."""
-        return min(1.0, float(self._kept([sorted({self.bit(p) for p in ids})])[1]))
+        return min(1.0, self._kept([sorted({self.bit(p) for p in ids})])[1])
 
-    def marginal_table(self, ids: Sequence[str]) -> np.ndarray:
-        """Joint marginal over the given variables, in the order given: 2**len(ids) cells, bit j for ids[j]."""
+    def marginal_table(self, ids: Sequence[str]):
+        """Joint marginal over the given variables, in the order given: 2**len(ids) cells in numpy, bit j for ids[j]."""
+        from . import lattice
+
         positions = [self.bit(p) for p in ids]
         if len(set(positions)) != len(positions):
             raise ValueError(f"duplicate ids in marginal request: {tuple(ids)}")
-        return self._kept([[pos] for pos in positions])
+        return lattice.marginal_table(self, positions)
 
 
-def _checked_total(weights: np.ndarray) -> float:
-    """Sum of nonnegative weights; refused when it overflows a double or is not positive."""
-    with np.errstate(over="ignore"):
-        total = float(weights.sum())
+def _pairwise_sum(values) -> float:
+    """Sum of floats in np.sum's pairwise order, and so its float; builtin sum() is compensated from Python 3.12 on.
+
+    Below 8 values one running sum; up to 128, eight running sums of every eighth value, added as a tree, then the
+    rest one by one; past that, the two halves, split at a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, values[j + 8 : end : 8], values[j]) for j in range(8)]
+        return reduce(add, values[end:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _checked_total(total: float) -> float:
+    """A sum of nonnegative weights; refused when it overflows a double or is not positive."""
     if not math.isfinite(total):
         raise ValueError("total weight overflows a double")
     if total <= 0.0:
@@ -249,47 +274,53 @@ def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, 
     """
     params = ExclusiveCaseParams(n, m, k)
     universe = check_universe(f"p{i + 1}" for i in range(params.s))
-    world = world_from_instances(universe, 1 << np.arange(params.s), np.ones(params.s))
+    world = world_from_instances(universe, [1 << i for i in range(params.s)], [1.0] * params.s)
     f = Concept("F", tuple((pid, params.p) for pid in universe[:n]))
     w = Concept("W", tuple((pid, params.p) for pid in universe[-m:]))
     return world, f, w
 
 
-def world_from_instances(universe: Sequence[str], masks: Sequence[int], weights: Sequence[float]) -> WorldModel:
-    """Support-row world with one row per (mask, weight) pair; rows of equal mask add their weights in order."""
+def world_from_instances(universe: Sequence[str], masks: Iterable[int], weights: Iterable[float]) -> WorldModel:
+    """Support-row world with one row per (mask, weight) pair; rows of equal mask add their weights in order.
+
+    Every mask is checked before any weight, and the first bad row in row order is the one named.
+    """
     universe = check_universe(universe)
-    m = np.asarray(masks)  # an object array when a mask does not fit 64 bits
-    w = np.array(weights, dtype=np.float64)  # a copy, as is the int64 cast below: the world owns its rows
-    if m.shape != w.shape or m.ndim != 1:
-        raise ValueError(f"expected one weight per row mask, got shapes {m.shape} and {w.shape}")
-    bad = (m < 0) | (m >= 1 << len(universe))
-    if bad.any():
-        raise ValueError(f"row mask {int(m[bad.argmax()])} out of range for {len(universe)} properties")
-    bad = ~(np.isfinite(w) & (w >= 0))
-    if bad.any():
-        raise ValueError(f"row weight must be finite and nonnegative, got {float(w[bad.argmax()])!r}")
-    if not (w > 0).any():
+    masks, weights = list(masks), list(weights)  # copies: the world owns its rows
+    if len(masks) != len(weights):
+        raise ValueError(f"expected one weight per row mask, got {len(masks)} masks and {len(weights)} weights")
+    for mask in masks:
+        if not 0 <= mask < 1 << len(universe):
+            raise ValueError(f"row mask {int(mask)} out of range for {len(universe)} properties")
+    weights = array("d", weights)
+    for weight in weights:
+        if not 0.0 <= weight < math.inf:  # also rejects NaN
+            raise ValueError(f"row weight must be finite and nonnegative, got {weight!r}")
+    if not any(weights):
         raise EmptyTable("instance table needs at least one row with positive weight")
-    return WorldModel(universe, _rows=(m.astype(np.int64), w, _checked_total(w)))
+    return WorldModel(universe, _rows=(array("q", masks), weights, _checked_total(_pairwise_sum(memoryview(weights)))))
 
 
-def pair_joint(f: Concept, w: Concept, world: WorldModel) -> np.ndarray:
+def pair_joint(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float, float]:
     """Four-cell joint of the two concept-event indicators, index 2*f + w, from one query of three groups."""
     f_pos, w_pos = {world.bit(p) for p in f.ids}, {world.bit(p) for p in w.ids}
     # groups W-only, shared, F-only are bits 0, 1, 2: F and W both hold when a shared property does or both others do
     t = world._kept([sorted(w_pos - f_pos), sorted(f_pos & w_pos), sorted(f_pos - w_pos)])
-    return np.array([t[0], t[1], t[4], t[2] + t[3] + t[5] + t[6] + t[7]])
+    return t[0], t[1], t[4], t[2] + t[3] + t[5] + t[6] + t[7]
 
 
 def joint_event_probability(f: Concept, w: Concept, world: WorldModel) -> float:
     """P(both concept events hold)."""
-    return min(1.0, float(pair_joint(f, w, world)[3]))
+    return min(1.0, pair_joint(f, w, world)[3])
 
 
-def degree_mismatches(concept: Concept, world: WorldModel) -> list[str]:
-    """Human-readable descriptions of degree vs world-marginal disagreements."""
+def degree_mismatches(concepts: Sequence[Concept], world: WorldModel) -> list[str]:
+    """Human-readable descriptions of degree vs world-marginal disagreements, every marginal read in one pass."""
+    ids = list(dict.fromkeys(pid for concept in concepts for pid in concept.ids))
+    marginals = dict(zip(ids, world.marginals(ids)))
     return [
         f"degree-mismatch {pid}: concept {concept.name!r} declares {declared:.6g}, world marginal is {marginal:.6g}"
+        for concept in concepts
         for pid, declared in concept.properties
-        if abs((marginal := world.marginal(pid)) - declared) > DEGREE_MISMATCH_TOL
+        if abs((marginal := marginals[pid]) - declared) > DEGREE_MISMATCH_TOL
     ]

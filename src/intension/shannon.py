@@ -1,12 +1,14 @@
 """Entropies, mutual information, and the Shannon inheritance estimate.
 
 All quantities are base-2 (bits), computed exactly from a WorldModel's
-marginal tables. Every table entropy goes through one kernel, -sum p*log2(p)
-over each row of cells, where a zero cell adds 0*log2(0) = 0 in place: it
-is summed like any other cell, never dropped. The multivariate interaction
-measure uses the McGill inclusion-exclusion convention over subset
-entropies, anchored so that two variables give ordinary nonnegative mutual
-information and the 3-variable parity (XOR) world gives -1 bit.
+marginal tables. The mutual information of a concept pair is read off its
+four-cell joint as a sum of nonnegative terms (see `_mutual_information`),
+never as H(F) + H(W) - H(F,W), whose terms cancel near independence. The
+multivariate interaction measure uses the McGill inclusion-exclusion
+convention over subset entropies, anchored so that two variables give
+ordinary nonnegative mutual information and the 3-variable parity (XOR)
+world gives -1 bit; its lattice is the one part that needs numpy, in
+`intension.lattice`.
 
 The inheritance estimate P(W)*2**I(F;W) comes from a uniformity
 simplification and is not a probability in general; it is reported
@@ -18,9 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .errors import SubsetTooLarge
 from .model import (  # noqa: F401 -- bench/spans.py traces joint_event_probability here
@@ -34,8 +34,11 @@ from .model import (  # noqa: F401 -- bench/spans.py traces joint_event_probabil
 )
 
 MAX_LATTICE_VARS = 12
-_CHUNK = 1 << 16  # cells per scratch array in the lattice entropies
 INTERACTION_CONVENTION = "McGill-inclusion-exclusion"
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into halves of at most 26 bits
+_SERIES_LIMIT = 0.5  # below this |e|, phi(e) is its power series; the log form would lose up to 4 bits there
+_SERIES = tuple(1.0 / (k * (k - 1)) for k in range(2, 59))  # its coefficients, to past 2**-56 at |e| = 0.5
+_LN2 = math.log(2.0)
 
 
 def binary_entropy(d: float) -> float:
@@ -46,16 +49,62 @@ def binary_entropy(d: float) -> float:
     return -(d * math.log2(d) + (1.0 - d) * math.log2(1.0 - d))
 
 
-def _pair_entropies(joint: np.ndarray) -> tuple[float, float, float]:
-    # cell sums can drift a hair past 1 in float; clamp before validating
-    h_f = binary_entropy(min(1.0, float(joint[2] + joint[3])))
-    h_w = binary_entropy(min(1.0, float(joint[1] + joint[3])))
-    return h_f, h_w, float(_entropy(joint))
-
-
 def concept_pair_entropies(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float]:
-    """(H(F), H(W), H(F,W)) of the two concept-event indicator variables."""
-    return _pair_entropies(pair_joint(f, w, world))
+    """(H(F), H(W), H(F,W)) of the two concept-event indicator variables; the score reads `_mutual_information`."""
+    joint = pair_joint(f, w, world)
+    # cell sums can drift a hair past 1 in float; clamp before validating
+    h_f, h_w = binary_entropy(min(1.0, joint[2] + joint[3])), binary_entropy(min(1.0, joint[1] + joint[3]))
+    return h_f, h_w, 0.0 - math.fsum(p * math.log2(p) for p in joint if p > 0.0)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, err): p = fl(a*b) and p + err = a*b exactly (Dekker), unless err falls below the normal range."""
+    p, a_hi, b_hi = a * b, _SPLITTER * a - (_SPLITTER * a - a), _SPLITTER * b - (_SPLITTER * b - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _q_phi(q: float, d: float, p: float) -> float:
+    """q * phi(d / q), phi(e) = (1 + e) ln(1 + e) - e >= 0, where p = q + d >= 0 is the cell; q when it is empty.
+
+    Near e = 0 phi is e**2 times the sum over k >= 2 of (-e)**(k-2) / (k (k-1)), by Horner's rule to a term below
+    2**-56; further out it is p * ln(p / q) - d, from the cell itself, so a cell much below q keeps its digits.
+    """
+    if p == 0.0:
+        return q
+    e = d / q
+    if abs(e) >= _SERIES_LIMIT:  # e rounded to -1 or past, or overflowed by a subnormal q: ln p - ln q cannot cancel
+        product, error = _two_product(p, math.log1p(e) if -1.0 < e < math.inf else math.log(p) - math.log(q))
+        return (product - d) + error
+    series, last = 0.0, int(56 * _LN2 / -math.log(abs(e))) if e else 0  # |e| ** (last + 1) <= 2**-56
+    for coefficient in _SERIES[last::-1]:
+        series = coefficient - e * series
+    return q * (e * e * series)
+
+
+def _mutual_information(joint: Sequence[float]) -> float:
+    """I(F;W) in bits of a four-cell joint (index 2*f + w), normalized by its sum T, as a sum of terms >= 0.
+
+    With q the product of a cell's row and column sums, T times the cell is q + c on the diagonal and q - c off it,
+    where c = p11*p00 - p10*p01, from error-free products and rounded once. So MI * ln 2 * T**2 is the sum over the
+    cells of q * phi(+-c / q), and nothing cancels. A row's terms take q and c over the row sum, then are scaled by
+    it, so no q is formed that could underflow.
+    """
+    p00, p01, p10, p11 = joint
+    rows, columns = (p00 + p01, p10 + p11), (p00 + p10, p01 + p11)
+    total = rows[0] + rows[1]
+    high, high_err = _two_product(p11, p00)
+    low, low_err = _two_product(p10, p01)
+    c = (high - low) + (high_err - low_err)
+    mi = 0.0
+    for i, row in enumerate(rows):
+        if row > 0.0:  # else both cells of the row are empty, and c is 0
+            d, terms = c / row, 0.0
+            for j, column in enumerate(columns):
+                if column > 0.0:
+                    terms += _q_phi(column, d if i == j else -d, joint[2 * i + j] * total / row)
+            mi += row * terms
+    return mi / (total * total) / _LN2
 
 
 @dataclass(frozen=True)
@@ -80,46 +129,10 @@ def interaction_information(vars: Iterable[str], world: WorldModel) -> Interacti
         raise ValueError(f"interaction needs at least two variables, got {t}")
     if t > MAX_LATTICE_VARS:
         raise SubsetTooLarge(f"{t} variables exceeds the lattice cap of {MAX_LATTICE_VARS}")
-    return InteractionReport(subset=tuple(sorted(ids)), value=math.fsum(_lattice_terms(world.marginal_table(ids), t)))
+    from . import lattice
 
-
-def _lattice_terms(table: np.ndarray, t: int) -> list[float]:
-    """(-1)**(|T|+1) * H(T) for every nonempty subset T of the bits of a 2**t table, in no particular order.
-
-    One 3**t buffer (4 MiB at t=12) holds the lattice level by level: level L is one C(t, L) x 2**(t-L) block of the
-    tables with L bits folded, its rows ordered by their lowest folded bit, highest first. The tables that may still
-    fold bit j (all their folded bits above j) are then a prefix of each level, so at bit j one reshape per level
-    halves them and appends the halves to the next level. Each subset's bits are folded high to low as in the
-    reference `marginalize` of tests/oracles.py. Each level's block is then summed as rows by `_entropy`, zero cells
-    in place, and numpy sums a row exactly as it sums that row alone: each H(T) is the same float as `_entropy` of
-    the direct marginal. The caller sums the terms exactly.
-    """
-    rows = [math.comb(t, level) for level in range(t + 1)]
-    starts = np.cumsum([0] + [r << (t - level) for level, r in enumerate(rows)]).tolist()
-    buf, filled = np.empty(3**t), [1] + [0] * t
-    buf[: 1 << t] = table
-    for bit in reversed(range(t)):
-        for level in reversed(range(t - bit)):
-            n, at = filled[level] << (t - level), starts[level + 1] + (filled[level + 1] << (t - level - 1))
-            # below bit 4 a run of 2**bit cells is too short for a ufunc loop call each: loop down the runs instead
-            halves = buf[starts[level] : starts[level] + n].reshape(-1, 2, 1 << bit).T
-            out = buf[at : at + n // 2].reshape(-1, 1 << bit).T
-            np.add(halves[:, 0], halves[:, 1], out=out, order="C" if bit < 4 else "K")
-            filled[level + 1] += filled[level]
-    terms = []
-    for level in range(t):
-        block = buf[starts[level] : starts[level + 1]].reshape(rows[level], -1)
-        sign, step = (-1.0) ** (t - level + 1), max(1, _CHUNK >> (t - level))
-        terms += [sign * _entropy(block[first : first + step]) for first in range(0, rows[level], step)]
-    return np.concatenate(terms).tolist()
-
-
-def _entropy(probs: np.ndarray) -> np.ndarray:
-    """-sum of p*log2(p) along the last axis, where a zero cell adds 0*log2(0) = 0 in place."""
-    plogp = np.maximum(probs, math.ulp(0.0))  # a zero cell reads as 5e-324: log2 is -1074, and 0 * -1074 adds -0.0
-    np.log2(plogp, out=plogp)
-    plogp *= probs
-    return -plogp.sum(axis=-1)
+    terms = lattice._lattice_terms(world.marginal_table(ids), t)
+    return InteractionReport(subset=tuple(sorted(ids)), value=math.fsum(terms))
 
 
 @dataclass(frozen=True)
@@ -148,17 +161,17 @@ def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInh
 
     Emits DegreeMismatchWarning for every declared degree that disagrees
     with the world marginal beyond 1e-6; the world always wins. When
-    P(f) = 0 the exact conditional and the discrepancy are None. Reads one
-    marginal per declared degree and one 8-cell joint, however wide the pair.
+    P(f) = 0 the exact conditional and the discrepancy are None. Reads the
+    declared degrees' marginals in one pass and one 8-cell joint, however wide the pair.
     """
     joint = pair_joint(f, w, world)  # first, so an unknown property raises before any warning
-    for message in degree_mismatches(f, world) + degree_mismatches(w, world):
+    for message in degree_mismatches((f, w), world):
         warnings.warn(message, DegreeMismatchWarning, stacklevel=2)
-    p_f = min(1.0, float(joint[2] + joint[3]))
-    p_w = min(1.0, float(joint[1] + joint[3]))
-    mi = binary_entropy(p_f) + binary_entropy(p_w) - float(_entropy(joint))
+    p_f = min(1.0, joint[2] + joint[3])
+    p_w = min(1.0, joint[1] + joint[3])
+    mi = _mutual_information(joint)
     estimate = p_w * 2.0 ** mi
-    exact = min(1.0, float(joint[3])) / p_f if p_f else None
+    exact = min(1.0, joint[3]) / p_f if p_f else None
     return ShannonInheritance(
         mutual_information=mi,
         exact_conditional=exact,

@@ -3,13 +3,16 @@
 A distribution here is a dict mapping assignment tuples (one 0/1 entry
 per variable) to probability. Entropies are direct plug-in sums over
 dict projections; nothing is shared with the package's bitmask bucketing.
-The two exceptions work on numpy arrays: `marginalize` folds a table of
+The exceptions work on numpy arrays: `marginalize` folds a table of
 2**n cells and is the reference for the fold order of the interaction
-lattice, and `product_kept` is the bit-for-bit reference of a product
-world's query.
+lattice, and `product_kept` and `row_kept` are the bit-for-bit references
+of a product world's and a row world's query. `decimal_mutual_information`
+is the high-precision reference of a concept pair's mutual information.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -107,3 +110,55 @@ def product_kept(marginals, groups):
             none *= 1.0 - mu
         table = np.concatenate([table * none, table * some])
     return table
+
+
+def row_kept(masks, weights, total, groups):
+    """A row world's query as one weighted np.bincount over the rows, then divided by the total: the numpy reference.
+
+    Bit k of a row's cell is set iff the row holds some property of group k; bincount adds each row's weight into
+    its cell in row order.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    key = np.zeros(len(masks), dtype=np.int64)
+    for k, group in enumerate(groups):
+        key |= ((masks & sum(1 << pos for pos in group)) != 0).astype(np.int64) << k
+    kept = np.bincount(key, np.asarray(weights, dtype=np.float64), minlength=1 << len(groups))
+    kept /= total
+    return kept
+
+
+def decimal_mutual_information(joint, digits=50):
+    """I(F;W) in bits of a four-cell joint (index 2*f + w), as a `digits`-digit Decimal.
+
+    The cells, their exact sum, the marginals and each p / (P(row) P(column)) are exact fractions, so no sum rounds
+    away a tiny cell; only the logs and the final sum of p * ln(p / q) round, to `digits` digits.
+    """
+    cells = [Fraction(p) for p in joint]
+    total = sum(cells)
+    cells = [p / total for p in cells]
+    rows, columns = (cells[0] + cells[1], cells[2] + cells[3]), (cells[0] + cells[2], cells[1] + cells[3])
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mi = Decimal(0)
+        for i, p in enumerate(cells):
+            if p:
+                x = p / (rows[i >> 1] * columns[i & 1]) - 1
+                mi += _decimal(p) * _decimal_log1p(x)
+        return mi / Decimal(2).ln()
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _decimal_log1p(x: Fraction) -> Decimal:
+    """ln(1 + x) to the context's precision; a series near 0, where 1 + x would round x away."""
+    if abs(x) >= Fraction(1, 100):
+        return _decimal(1 + x).ln()
+    term, total, k, x = Decimal(1), Decimal(0), 1, _decimal(x)
+    while True:
+        term *= x
+        grown = total + term / k if k % 2 else total - term / k
+        if grown == total:
+            return total
+        total, k = grown, k + 1

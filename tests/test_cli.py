@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -330,6 +334,47 @@ def cli_inputs(draw):
         argv = draw(st.lists(st.text(max_size=10), max_size=6))
     argv += draw(st.sampled_from([[], [], ["--format", "json"], ["--format", "xml"]]))
     return world, concepts, argv
+
+
+class TestNumpyStaysOut:
+    def test_only_interaction_loads_numpy(self, tmp_path):
+        # each subcommand but interaction runs without importing numpy, and interaction loads it only past its checks
+        independent = tmp_path / "independent.txt"
+        independent.write_text("independent\n" + "".join(f"v{i} 0.5\n" for i in range(13)))
+        concepts = tmp_path / "concepts.txt"
+        concepts.write_text("concept f\nproperty v0 0.5\nconcept w\nproperty v1 0.5\nproperty v2 0.5\n")
+        exclusive = tmp_path / "exclusive.txt"
+        exclusive.write_text("exclusive 2 2 1\n")
+        (tmp_path / "excl_concepts.txt").write_text("concept f\nproperty p1 0.25\nconcept w\nproperty p3 0.25\n")
+        wide = tmp_path / "wide.txt"
+        wide.write_text("instances\n" + ",".join(f"g{i}" for i in range(25)) + " 1\n")
+        score = ["score", "--from", "f", "--to", "w"]
+        numpy_free = [
+            (0, score + ["--world", str(independent), "--concepts", str(concepts), "--algorithmic"]),
+            (0, score + ["--world", str(exclusive), "--concepts", str(tmp_path / "excl_concepts.txt")]),
+            (0, score + ["--world", str(DATA / "correlated_world.txt"), "--concepts", str(DATA / "concepts.txt")]),
+            (0, ["exclusive", "--n", "4", "--m", "3", "--k", "2"]),
+            (0, ["extensional", "--universe", "5", "--f", "1,2", "--w", "2,3", "--format", "json"]),
+            (2, score + ["--world", str(independent), "--concepts", str(concepts), "--algorithmic", "--compressor", "lzma"]),
+            (2, ["interaction", "--world", str(wide), "--vars", "g0,g1"]),
+            (2, ["interaction", "--world", str(independent), "--vars", ",".join(f"v{i}" for i in range(13))]),
+        ]
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from intension.cli import run
+            for code, argv in {numpy_free!r} + [(0, ["interaction", "--world", {str(DATA / "parity_world.txt")!r}, "--vars", "a,b,c"])]:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    got = run(argv)
+                print(got == code, "numpy" in sys.modules)
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["True False"] * len(numpy_free) + ["True True", ""]
 
 
 class TestCliContractFuzz:

@@ -157,8 +157,8 @@ class TestBuildIndependentWorld:
         universe = [f"v{i}" for i in range(len(marginals))]
         world = build_independent_world(universe, marginals)
         got, want = world._kept(groups), oracles.product_kept(marginals, groups)
-        assert got.shape == want.shape == (1 << len(groups),)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert isinstance(got, list) and len(got) == want.shape[0] == 1 << len(groups)
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
         for pid, mu in zip(universe, marginals):
             assert world.marginal(pid) == mu
 
@@ -249,6 +249,33 @@ class TestWorldFromInstances:
         masks, weights = zip(*rows)
         with pytest.raises(ValueError, match=message):
             world_from_instances(("a", "b", "c"), form(masks), form(weights))
+
+    @given(st.data(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_query_is_the_bincount_bit_for_bit(self, data, rng):
+        # 1-300 rows drawn from at most 8 masks, so masks repeat, about 30% of them weighing 0, at scales from 1e-300
+        # to 1e300; 0-3 disjoint groups, some possibly empty. The total must be np.sum's float, every cell the
+        # float of the numpy reference, as must the marginal table and the marginals, in a drawn order.
+        size = data.draw(st.integers(1, 10))
+        pool = [rng.randrange(1 << size) for _ in range(rng.randint(1, 8))]
+        scale = data.draw(st.sampled_from([1e-300, 1e-12, 1.0, 1e12, 1e300]))
+        rows = [(rng.choice(pool), rng.random() * scale if rng.random() > 0.3 else 0.0) for _ in range(rng.randint(1, 300))]
+        rows[0] = (rows[0][0], scale)
+        masks, weights = zip(*rows)
+        count = data.draw(st.integers(0, 3))
+        owner = data.draw(st.lists(st.integers(-1, count - 1), min_size=size, max_size=size))
+        groups = [[pos for pos in data.draw(st.permutations(range(size))) if owner[pos] == k] for k in range(count)]
+        world = world_from_instances([f"v{i}" for i in range(size)], masks, weights)
+        total = world._rows[2]
+        assert total == float(np.sum(np.array(weights)))  # positive and finite, so == is bit for bit
+        want = oracles.row_kept(masks, weights, total, groups)
+        assert np.array_equal(np.array(world._kept(groups)).view(np.int64), want.view(np.int64))
+        order = data.draw(st.permutations(range(size)))
+        ids = [world.universe[pos] for pos in order]
+        want = oracles.row_kept(masks, weights, total, [[pos] for pos in order])
+        assert np.array_equal(world.marginal_table(ids).view(np.int64), want.view(np.int64))
+        want = [min(1.0, float(oracles.row_kept(masks, weights, total, [[pos]])[1])) for pos in order]
+        assert np.array_equal(np.array(world.marginals(ids)).view(np.int64), np.array(want).view(np.int64))
 
     def test_one_weight_per_mask(self):
         with pytest.raises(ValueError, match="one weight per row mask"):
@@ -475,8 +502,8 @@ class TestPairJoint:
         size = len(universe)
         dist = {tuple(m >> i & 1 for i in range(size)): p for m, p in enumerate(world.probs.tolist())}
         want = oracles.indicator_joint(dist, f_pos, w_pos)
-        assert got.shape == (4,)
-        for cell, value in enumerate(got.tolist()):
+        assert len(got) == 4
+        for cell, value in enumerate(got):
             assert abs(value - want.get(divmod(cell, 2), 0.0)) <= 1e-12
 
     @given(
@@ -555,15 +582,25 @@ class TestConceptEventProbability:
 class TestDegreeMismatches:
     def test_silent_when_close(self):
         world = build_independent_world(["a"], [0.5])
-        assert degree_mismatches(Concept("c", (("a", 0.5),)), world) == []
+        assert degree_mismatches([Concept("c", (("a", 0.5),))], world) == []
 
     def test_names_only_the_disagreeing_property(self):
         world = build_independent_world(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
         c = Concept("c", (("d", 0.4), ("b", 0.25), ("a", 0.1)))
-        assert [m.split(":")[0] for m in degree_mismatches(c, world)] == ["degree-mismatch b"]
+        assert [m.split(":")[0] for m in degree_mismatches([c], world)] == ["degree-mismatch b"]
 
     def test_reports_disagreement(self):
         world = build_independent_world(["a"], [0.9])
-        messages = degree_mismatches(Concept("c", (("a", 0.5),)), world)
+        messages = degree_mismatches([Concept("c", (("a", 0.5),))], world)
         assert len(messages) == 1
         assert "a" in messages[0] and "0.5" in messages[0] and "0.9" in messages[0]
+
+    def test_one_pass_names_each_concept_in_order(self):
+        # a shared property declared off its marginal by both concepts is named once for each, in concept order
+        world = world_from_instances(("a", "b"), [0b01, 0b11, 0b10], [1.0, 1.0, 2.0])
+        f, w = Concept("f", (("b", 0.75), ("a", 0.2))), Concept("w", (("a", 0.9), ("b", 0.75)))
+        messages = degree_mismatches([f, w], world)
+        assert [m.split(" declares")[0] for m in messages] == [
+            "degree-mismatch a: concept 'f'",
+            "degree-mismatch a: concept 'w'",
+        ]

@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,16 +12,17 @@ import oracles
 from conftest import concept_at, dense_world, world_from_dist, worlds, worlds_with_concept_pair
 from oracles import marginalize
 from intension.errors import InvalidDegree, SubsetTooLarge, UnknownProperty
+from intension.lattice import _entropy, _lattice_terms
 from intension.model import (
     Concept,
     DegreeMismatchWarning,
     build_exclusive_world,
     build_independent_world,
+    pair_joint,
 )
 from intension.shannon import (
     INTERACTION_CONVENTION,
-    _entropy,
-    _lattice_terms,
+    _mutual_information,
     binary_entropy,
     concept_pair_entropies,
     interaction_information,
@@ -538,3 +541,41 @@ class TestAdversarialWorlds:
         assert 0.0 <= report.exact_conditional <= 1.0
         assert report.mutual_information >= -1e-12
         assert math.isclose(report.exact_conditional, oracles.exact_conditional(dist, f_idx, w_idx), rel_tol=1e-9)
+
+
+MI_ULPS = 4  # bound on the relative error of the pair's mutual information, in units of 2**-52
+DECIMAL_FLOOR = Decimal("1e-45")  # the 50-digit reference's own resolution, from terms of at most about 1
+
+
+def assert_mutual_information_exact(joint):
+    got, want = _mutual_information(joint), oracles.decimal_mutual_information(joint)
+    assert got >= 0.0
+    assert abs(Decimal(got) - want) <= MI_ULPS * Decimal(2.0**-52) * want + DECIMAL_FLOOR, (joint, got, want)
+
+
+class TestMutualInformationAgainstDecimal:
+    @pytest.mark.parametrize("exponent", range(1, 13))
+    def test_near_independence(self, exponent):
+        # P(F and W) = P(F) P(W) (1 +- delta): H(F) + H(W) - H(F,W) cancels to about delta**2 of its terms
+        rng = random.Random(exponent)
+        for _ in range(40):
+            p_f, p_w = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
+            both = p_f * p_w * (1.0 + rng.choice((-1.0, 1.0)) * 10.0**-exponent)
+            joint = (1.0 - p_f - p_w + both, p_w - both, p_f - both, both)
+            if min(joint) >= 0.0:
+                assert_mutual_information_exact(joint)
+
+    @pytest.mark.parametrize("make", ADVERSARIAL_WORLDS, ids=lambda make: make.__name__)
+    def test_adversarial_worlds(self, make):
+        world = make()
+        size = len(world.universe)
+        rng = random.Random(size)
+        for _ in range(60):
+            f = concept_at(world, "f", rng.sample(world.universe, rng.randint(1, size)))
+            w = concept_at(world, "w", rng.sample(world.universe, rng.randint(1, size)))
+            assert_mutual_information_exact(pair_joint(f, w, world))
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-310, 1e-200, 1e-12, 0.5])
+    def test_rare_self_information(self, p):
+        # F = W with P(F) = p: the joint is diagonal, and a subnormal marginal must not overflow phi's argument
+        assert_mutual_information_exact((1.0 - p, 0.0, 0.0, p))
