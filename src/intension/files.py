@@ -137,7 +137,7 @@ def _parse_independent(body: Iterator[tuple[int, str]], source: str) -> WorldMod
 
 
 def _parse_instances(body: Iterator[tuple[int, str]], source: str, header_line: int) -> WorldModel:
-    index: dict[str, int] = {}
+    bits: dict[str, int] = {}  # id -> 1 << its position, in first-seen order
     masks: list[int] = []
     weights: list[float] = []
     for lineno, line in body:
@@ -147,14 +147,15 @@ def _parse_instances(body: Iterator[tuple[int, str]], source: str, header_line: 
         ids_token, raw = tokens
         mask = 0
         for pid in [] if ids_token == "-" else ids_token.split(","):
-            if not pid:
-                raise ParseError(source, lineno, f"empty id in {ids_token!r}")
-            if pid not in index:
-                index[pid] = len(index)
-                _wrap(source, header_line, check_universe, index)  # refuses the 25th id, at the header
-            if mask >> index[pid] & 1:
+            bit = bits.get(pid)
+            if bit is None:
+                if not pid:
+                    raise ParseError(source, lineno, f"empty id in {ids_token!r}")
+                bits[pid] = bit = 1 << len(bits)
+                _wrap(source, header_line, check_universe, bits)  # refuses the 25th id, at the header
+            elif mask & bit:
                 raise ParseError(source, lineno, f"duplicate property {pid!r} in row")
-            mask |= 1 << index[pid]
+            mask |= bit
         try:
             weight = float(raw)
         except ValueError:
@@ -165,7 +166,7 @@ def _parse_instances(body: Iterator[tuple[int, str]], source: str, header_line: 
         weights.append(weight)
     if not masks:
         raise ParseError(source, header_line, "instances world needs at least one row")
-    return _wrap(source, header_line, world_from_instances, tuple(index), masks, weights)
+    return _wrap(source, header_line, world_from_instances, tuple(bits), masks, weights)
 
 
 def _wrap(source: str, lineno: int, fn, *args):

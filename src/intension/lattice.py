@@ -1,4 +1,4 @@
-"""The numpy side of the package: dense tables and the interaction lattice.
+"""The numpy side of the package: dense tables, and the interaction lattice folded a level at a time.
 
 Only `WorldModel.marginal_table`, `WorldModel.probs` and
 `shannon.interaction_information` import this module, inside their bodies,
@@ -40,7 +40,8 @@ def dense_probs(world: WorldModel) -> np.ndarray:
 def _weights(world: WorldModel, positions: Sequence[int]) -> np.ndarray:
     """A product world's table, numpy's product of each (1 - mu, mu) from [1.0]; a row world's raw weights.
 
-    A row world's cells come from one weighted np.bincount, which adds each row's weight in row order as `_kept` does.
+    A row world's cells come from one weighted np.bincount, which adds each row's weight in row order as `_kept` does;
+    each row's key is read off its mask bytes through one 256-entry lookup per byte that holds a requested property.
     """
     if world._rows is None:
         table = np.array([1.0])
@@ -49,42 +50,50 @@ def _weights(world: WorldModel, positions: Sequence[int]) -> np.ndarray:
             table = np.concatenate((table * (1.0 - mu), table * mu))
         return table
     masks, weights, _ = world._rows
-    masks = np.frombuffer(masks, dtype=np.int64)
+    masks = np.frombuffer(masks, dtype=np.int64).view(np.uint8).reshape(-1, 8)
     key = np.zeros(len(masks), dtype=np.int64)
-    for j, pos in enumerate(positions):
-        key |= (masks >> pos & 1) << j
+    for byte in sorted({pos >> 3 for pos in positions}):  # one lookup per mask byte: value -> its bits of the key
+        lookup = sum((np.arange(256) >> (pos & 7) & 1) << j for j, pos in enumerate(positions) if pos >> 3 == byte)
+        key |= lookup.take(masks[:, byte if np.little_endian else 7 - byte])
     return np.bincount(key, np.frombuffer(weights), minlength=1 << len(positions))
 
 
 def _lattice_terms(table: np.ndarray, t: int) -> list[float]:
     """(-1)**(|T|+1) * H(T) for every nonempty subset T of the bits of a 2**t table, in no particular order.
 
-    One 3**t buffer (4 MiB at t=12) holds the lattice level by level: level L is one C(t, L) x 2**(t-L) block of the
-    tables with L bits folded, its rows ordered by their lowest folded bit, highest first. The tables that may still
-    fold bit j (all their folded bits above j) are then a prefix of each level, so at bit j one reshape per level
-    halves them and appends the halves to the next level. Each subset's bits are folded high to low as in the
-    reference `marginalize` of tests/oracles.py. Each level's block is then summed as rows by `_entropy`, zero cells
-    in place, and numpy sums a row exactly as it sums that row alone: each H(T) is the same float as `_entropy` of
-    the direct marginal. The caller sums the terms exactly.
+    The lattice is walked level by level: level L is one C(t, L) x 2**(t-L) block of the tables with L bits folded,
+    its rows ordered by their lowest folded bit, highest first. The rows that may still fold bit j (all their folded
+    bits above j) are then its first C(t-1-j, L) rows, and folding bit j of them, for each j from high to low, builds
+    level L+1. Each subset's bits are thus folded high to low as in the reference `marginalize` of tests/oracles.py.
+    Level L's block is summed as rows by `_entropy`, zero cells in place, before level L+2 overwrites it: one buffer
+    of two adjacent blocks (1.83 MiB at t=12) serves every level. numpy sums a row exactly as it sums that row alone:
+    each H(T) is the same float as `_entropy` of the direct marginal. The caller sums the terms exactly.
     """
-    rows = [math.comb(t, level) for level in range(t + 1)]
-    starts = np.cumsum([0] + [r << (t - level) for level, r in enumerate(rows)]).tolist()
-    buf, filled = np.empty(3**t), [1] + [0] * t
-    buf[: 1 << t] = table
-    for bit in reversed(range(t)):
-        for level in reversed(range(t - bit)):
-            n, at = filled[level] << (t - level), starts[level + 1] + (filled[level + 1] << (t - level - 1))
-            # below bit 4 a run of 2**bit cells is too short for a ufunc loop call each: loop down the runs instead
-            halves = buf[starts[level] : starts[level] + n].reshape(-1, 2, 1 << bit).T
-            out = buf[at : at + n // 2].reshape(-1, 1 << bit).T
-            np.add(halves[:, 0], halves[:, 1], out=out, order="C" if bit < 4 else "K")
-            filled[level + 1] += filled[level]
-    terms = []
-    for level in range(t):
-        block = buf[starts[level] : starts[level + 1]].reshape(rows[level], -1)
-        sign, step = (-1.0) ** (t - level + 1), max(1, _CHUNK >> (t - level))
-        terms += [sign * _entropy(block[first : first + step]) for first in range(0, rows[level], step)]
+    sizes = [math.comb(t, folded) << (t - folded) for folded in range(t + 1)]
+    buf = np.empty(max(map(sum, zip(sizes, sizes[1:]))))  # two adjacent levels: odd ones at the end, even at the start
+    level, terms = table.reshape(1, -1), []
+    for folded in range(t):
+        cells = 1 << (t - folded)
+        sign, step = (-1.0) ** (t - folded + 1), max(1, _CHUNK // cells)
+        terms += [sign * _entropy(level[first : first + step]) for first in range(0, len(level), step)]
+        below = (buf[-sizes[folded + 1] :] if folded % 2 == 0 else buf[: sizes[folded + 1]]).reshape(-1, cells // 2)
+        for bit in reversed(range(t - folded)):  # the rows of higher bits come first: C(t-1-bit, folded+1) of them
+            at, rows = math.comb(t - 1 - bit, folded + 1), math.comb(t - 1 - bit, folded)
+            _fold(level[:rows], bit, below[at : at + rows])
+        level = below
     return np.concatenate(terms).tolist()
+
+
+def _fold(block: np.ndarray, bit: int, out: np.ndarray) -> None:
+    """Write into out each row of block with bit `bit` summed out: one add of the two cells of every pair."""
+    if 0 < bit < 4:
+        # runs of 2, 4 or 8 cells, too short for a ufunc call each: 1, 2 or 4 complex128 added position by position
+        run = 1 << (bit - 1)
+        halves = block.view(np.complex128).reshape(-1, 2, run).T
+        np.add(halves[:, 0], halves[:, 1], out=out.view(np.complex128).reshape(-1, run).T, order="C")
+    else:  # at bit 0 numpy drops the runs' axis of 1: one add of two strided halves
+        halves = block.reshape(-1, 2, 1 << bit)
+        np.add(halves[:, 0], halves[:, 1], out=out.reshape(-1, 1 << bit))
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:

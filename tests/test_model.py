@@ -277,6 +277,22 @@ class TestWorldFromInstances:
         want = [min(1.0, float(oracles.row_kept(masks, weights, total, [[pos]])[1])) for pos in order]
         assert np.array_equal(np.array(world.marginals(ids)).view(np.int64), np.array(want).view(np.int64))
 
+    @given(st.data(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_table_is_the_bincount_bit_for_bit(self, data, rng):
+        # universes of up to 24 properties, so a row key reads up to three mask bytes, and a table of at most 12 of
+        # them in drawn order: every cell must be the float of the numpy reference
+        size = data.draw(st.integers(1, 24))
+        pool = [rng.randrange(1 << size) for _ in range(rng.randint(1, 40))]
+        rows = [(rng.choice(pool), rng.random() if rng.random() > 0.3 else 0.0) for _ in range(rng.randint(1, 300))]
+        rows[0] = (rows[0][0], 1.0)
+        masks, weights = zip(*rows)
+        world = world_from_instances([f"v{i}" for i in range(size)], masks, weights)
+        order = data.draw(st.permutations(range(size)))[: data.draw(st.integers(0, min(size, 12)))]
+        want = oracles.row_kept(masks, weights, world._rows[2], [[pos] for pos in order])
+        got = world.marginal_table([world.universe[pos] for pos in order])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_one_weight_per_mask(self):
         with pytest.raises(ValueError, match="one weight per row mask"):
             world_from_instances(("a", "b"), [1, 2], [1.0])

@@ -323,9 +323,20 @@ class TestInteractionInformation:
             ids = [world.universe[i] for i in rng.permutation(14)[:12]]
         assert sorted(_lattice_terms(world.marginal_table(ids), 12)) == sorted(subset_loop_terms(ids, world))
 
+    @pytest.mark.parametrize("t", range(2, 13))
+    def test_fold_terms_are_the_subset_loop_terms_at_every_width(self, t):
+        # every width runs each fold kernel (bit 0, the complex runs of bits 1-3, the plain halves above) at every
+        # level it reaches, and folds 1-row blocks: bit t-1-L of level L folds only its first row
+        rng = np.random.default_rng(200 + t)
+        world = lattice_world("30%-zeros", rng)
+        ids = [world.universe[i] for i in rng.permutation(14)[:t]]
+        got, want = sorted(_lattice_terms(world.marginal_table(ids), t)), sorted(subset_loop_terms(ids, world))
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
     @pytest.mark.parametrize("kind", ["dense", "30%-zeros", "parity-and-copy"])
     def test_lattice_allocates_a_bounded_buffer(self, kind):
-        # the 3**12-cell fold buffer is 4 MiB; the scratch around it stays small, whatever share of the cells is zero
+        # the fold holds two adjacent levels of the lattice, at most 1.83 MiB at t=12, and the entropy scratch
+        # around them stays small, whatever share of the cells is zero
         world = lattice_world(kind, np.random.default_rng(0))
         ids = list(world.universe[:12])
         interaction_information(ids, world)
@@ -335,7 +346,7 @@ class TestInteractionInformation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 << 20
+        assert peak < 3 << 20
 
 
 class TestShannonInheritance:
