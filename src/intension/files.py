@@ -17,6 +17,7 @@ mask as the row is read, refusing the file at its 25th distinct id.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterator
 
@@ -26,6 +27,7 @@ from .model import (
     WorldModel,
     build_exclusive_world,
     build_independent_world,
+    check_degree,
     check_universe,
     world_from_instances,
 )
@@ -95,7 +97,7 @@ def parse_world(text: str, source: str = "<string>") -> WorldModel:
     if tokens[0] == "independent":
         if len(tokens) != 1:
             raise ParseError(source, lineno, "expected: independent")
-        return _parse_independent(body, source)
+        return _parse_independent(body, source, lineno)
     if tokens[0] == "exclusive":
         if len(tokens) != 4:
             raise ParseError(source, lineno, "expected: exclusive <n> <m> <k>")
@@ -115,12 +117,9 @@ def parse_world(text: str, source: str = "<string>") -> WorldModel:
     raise ParseError(source, lineno, f"unknown world mode {tokens[0]!r}")
 
 
-def _parse_independent(body: Iterator[tuple[int, str]], source: str) -> WorldModel:
+def _parse_independent(body: Iterator[tuple[int, str]], source: str, header_line: int) -> WorldModel:
     marginals: dict[str, float] = {}
-    first = 1
     for lineno, line in body:
-        if not marginals:
-            first = lineno
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(source, lineno, "expected: <id> <marginal>")
@@ -128,12 +127,13 @@ def _parse_independent(body: Iterator[tuple[int, str]], source: str) -> WorldMod
         if pid in marginals:
             raise ParseError(source, lineno, f"duplicate property {pid!r}")
         try:
-            marginals[pid] = float(raw)
+            marginal = float(raw)
         except ValueError:
             raise ParseError(source, lineno, f"bad marginal {raw!r}") from None
+        marginals[pid] = _wrap(source, lineno, check_degree, marginal, "marginal")
     if not marginals:
-        raise ParseError(source, 1, "independent world needs at least one property line")
-    return _wrap(source, first, build_independent_world, list(marginals), list(marginals.values()))
+        raise ParseError(source, header_line, "independent world needs at least one property line")
+    return _wrap(source, header_line, build_independent_world, list(marginals), list(marginals.values()))
 
 
 def _parse_instances(body: Iterator[tuple[int, str]], source: str, header_line: int) -> WorldModel:
@@ -160,8 +160,8 @@ def _parse_instances(body: Iterator[tuple[int, str]], source: str, header_line: 
             weight = float(raw)
         except ValueError:
             raise ParseError(source, lineno, f"bad weight {raw!r}") from None
-        if weight < 0:
-            raise ParseError(source, lineno, f"negative weight {raw}")
+        if not 0.0 <= weight < math.inf:  # also rejects NaN
+            raise ParseError(source, lineno, f"row weight must be finite and nonnegative, got {weight!r}")
         masks.append(mask)
         weights.append(weight)
     if not masks:

@@ -27,9 +27,8 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import islice
-from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -115,8 +114,9 @@ class WorldModel:
 
     A product world (`build_independent_world`) holds s marginals as a
     tuple of Python floats; a support-row world (`world_from_instances`,
-    `build_exclusive_world`) holds its row bitmasks in an `array('q')` and
-    its raw weights in an `array('d')`. Both answer every query through
+    `build_exclusive_world`) holds its row bitmasks in an `array('q')`,
+    its raw weights in an `array('d')`, and their total, the exactly
+    rounded `math.fsum`. Both answer every query through
     `_kept`: given disjoint groups of properties, the probability of each
     pattern of which groups hold. probs[mask] is the probability of the
     assignment where property i holds iff bit i of mask is set; both kinds
@@ -206,29 +206,12 @@ class WorldModel:
         return lattice.marginal_table(self, positions)
 
 
-def _pairwise_sum(values) -> float:
-    """Sum of floats in np.sum's pairwise order, and so its float; builtin sum() is compensated from Python 3.12 on.
-
-    Below 8 values one running sum; up to 128, eight running sums of every eighth value, added as a tree, then the
-    rest one by one; past that, the two halves, split at a multiple of 8.
-    """
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, 0.0)
-    if n <= 128:
-        end = n - n % 8
-        r = [reduce(add, values[j + 8 : end : 8], values[j]) for j in range(8)]
-        return reduce(add, values[end:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
 def _checked_total(total: float) -> float:
-    """A sum of nonnegative weights; refused when it overflows a double or is not positive."""
+    """A sum of nonnegative weights; refused when it overflows a double or is 0 (no weight is positive)."""
     if not math.isfinite(total):
         raise ValueError("total weight overflows a double")
     if total <= 0.0:
-        raise EmptyTable("total weight must be positive")
+        raise EmptyTable("instance table needs at least one row with positive weight")
     return total
 
 
@@ -283,7 +266,8 @@ def build_exclusive_world(n: int, m: int, k: int) -> tuple[WorldModel, Concept, 
 def world_from_instances(universe: Sequence[str], masks: Iterable[int], weights: Iterable[float]) -> WorldModel:
     """Support-row world with one row per (mask, weight) pair; rows of equal mask add their weights in order.
 
-    Every mask is checked before any weight, and the first bad row in row order is the one named.
+    Every mask is checked before any weight, and the first bad row in row order is the one named. Every query divides
+    by the total, `math.fsum` of the weights: exactly rounded, so no row order moves it.
     """
     universe = check_universe(universe)
     masks, weights = list(masks), list(weights)  # copies: the world owns its rows
@@ -296,9 +280,11 @@ def world_from_instances(universe: Sequence[str], masks: Iterable[int], weights:
     for weight in weights:
         if not 0.0 <= weight < math.inf:  # also rejects NaN
             raise ValueError(f"row weight must be finite and nonnegative, got {weight!r}")
-    if not any(weights):
-        raise EmptyTable("instance table needs at least one row with positive weight")
-    return WorldModel(universe, _rows=(array("q", masks), weights, _checked_total(_pairwise_sum(memoryview(weights)))))
+    try:
+        total = math.fsum(weights)  # exact before its one rounding, so positive exactly when some weight is
+    except OverflowError:  # the exact sum rounds past the largest double
+        total = math.inf
+    return WorldModel(universe, _rows=(array("q", masks), weights, _checked_total(total)))
 
 
 def pair_joint(f: Concept, w: Concept, world: WorldModel) -> tuple[float, float, float, float]:

@@ -113,7 +113,7 @@ class InteractionReport:
 
     subset: tuple[str, ...]
     value: float
-    convention: str = INTERACTION_CONVENTION
+    convention = INTERACTION_CONVENTION  # a class attribute: no caller sets it
 
 
 def interaction_information(vars: Iterable[str], world: WorldModel) -> InteractionReport:

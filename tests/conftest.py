@@ -1,10 +1,18 @@
 import random
+import warnings
 
 import numpy as np
 from compressor_noise import random_concept  # scripts/ is on the pytest path: one copy for tests and script
 from hypothesis import strategies as st
 
 from intension.model import Concept, world_from_instances
+
+# hypothesis imports this module when a test fails; its libcst import warns DeprecationWarning (mypy_extensions),
+# which pyproject's filter turns into an error inside the report hook, and pytest stops with INTERNALERROR. Import it
+# once here with that warning off; every other DeprecationWarning still fails the run.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def dense_world(universe, weights):

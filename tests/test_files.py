@@ -110,6 +110,18 @@ class TestParseWorld:
             parse_world("independent\nx 2.0")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("marginal", ["1.5", "nan", "-inf"])
+    def test_independent_bad_marginal_at_its_own_line(self, marginal):
+        with pytest.raises(ParseError, match=f"marginal must lie in \\[0, 1\\], got {marginal}") as err:
+            parse_world(f"independent\na 0.5\nb 0.25\nc {marginal}")
+        assert err.value.line == 4
+
+    def test_independent_cap_at_the_header(self):
+        text = "# wide\nindependent\n" + "".join(f"p{i} 0.5\n" for i in range(25))
+        with pytest.raises(ParseError, match="more than 24 properties") as err:
+            parse_world(text)
+        assert err.value.line == 2
+
     def test_independent_duplicate_property(self):
         with pytest.raises(ParseError):
             parse_world("independent\nx 0.5\nx 0.5")
@@ -134,7 +146,7 @@ class TestParseWorld:
     def test_instances_nonfinite_weight(self, weight):
         with pytest.raises(ParseError, match=f"row weight must be finite and nonnegative, got {weight}") as err:
             parse_world(f"instances\na 1\nb {weight}")
-        assert err.value.line == 1
+        assert err.value.line == 3
 
     def test_instances_bad_weight(self):
         with pytest.raises(ParseError) as err:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -225,8 +226,16 @@ class TestWorldFromInstances:
         assert world.probs[0b11] == 1.0
 
     def test_zero_total_weight(self):
-        with pytest.raises(EmptyTable):
-            world_from_instances(("a",), [1], [0.0])
+        with pytest.raises(EmptyTable, match="at least one row with positive weight"):
+            world_from_instances(("a",), [1, 0], [0.0, 0.0])
+
+    def test_total_is_exact_in_any_row_order(self):
+        # one 1.0 and 1,000 weights of 2**-53: a running or pairwise sum loses some of the small ones, and how many
+        # depends on the order; the exact total 1 + 1000 * 2**-53 is a double, and both orders must give it
+        masks, weights = [0] + [1] * 1000, [1.0] + [2.0**-53] * 1000
+        for order in (slice(None), slice(None, None, -1)):
+            world = world_from_instances(("a",), masks[order], weights[order])
+            assert world._rows[2] == 1 + 1000 * 2**-53
 
     def test_cap_checked_before_table(self):
         universe = tuple(f"g{i}" for i in range(40))
@@ -254,7 +263,7 @@ class TestWorldFromInstances:
     @settings(max_examples=200)
     def test_query_is_the_bincount_bit_for_bit(self, data, rng):
         # 1-300 rows drawn from at most 8 masks, so masks repeat, about 30% of them weighing 0, at scales from 1e-300
-        # to 1e300; 0-3 disjoint groups, some possibly empty. The total must be np.sum's float, every cell the
+        # to 1e300; 0-3 disjoint groups, some possibly empty. The total must be math.fsum's float, every cell the
         # float of the numpy reference, as must the marginal table and the marginals, in a drawn order.
         size = data.draw(st.integers(1, 10))
         pool = [rng.randrange(1 << size) for _ in range(rng.randint(1, 8))]
@@ -267,7 +276,7 @@ class TestWorldFromInstances:
         groups = [[pos for pos in data.draw(st.permutations(range(size))) if owner[pos] == k] for k in range(count)]
         world = world_from_instances([f"v{i}" for i in range(size)], masks, weights)
         total = world._rows[2]
-        assert total == float(np.sum(np.array(weights)))  # positive and finite, so == is bit for bit
+        assert total == math.fsum(weights)  # positive and finite, so == is bit for bit
         want = oracles.row_kept(masks, weights, total, groups)
         assert np.array_equal(np.array(world._kept(groups)).view(np.int64), want.view(np.int64))
         order = data.draw(st.permutations(range(size)))
@@ -362,7 +371,7 @@ class TestWorldModel:
 
     def test_overflowing_weight_sum(self):
         # every weight is finite, but their sum is not
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="total weight overflows a double"):
             dense_world(("a", "b"), [0.0, 1e308, 1e308, 0.0])
 
     def test_marginal_table_rejects_duplicates(self):
