@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import warnings
 
 from .algorithmic import BUILTIN_COMPRESSORS, algorithmic_inheritance, get_compressor
 from .closed_forms import (
@@ -95,10 +94,8 @@ def build_score_report(
     Returns (report, exit code); exit code 3 flags a zero-probability
     antecedent, in which case the exact conditional reads "undefined".
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = shannon_inheritance(f, w, world)
-    extra = {str(item.message) for item in caught}
+    rep = shannon_inheritance(f, w, world)
+    extra = set(rep.mismatches)
     if rep.estimate_exceeds_one:
         extra.add(ESTIMATE_WARNING)
 

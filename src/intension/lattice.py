@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NORMALIZATION_TOL, WorldModel, _checked_total
+from .model import WorldModel
 
 _CHUNK = 1 << 16  # cells per scratch array in the lattice entropies
 
@@ -24,17 +24,6 @@ def marginal_table(world: WorldModel, positions: Sequence[int]) -> np.ndarray:
     if world._rows is not None:
         table /= world._rows[2]  # after summing raw weights, and in place: a request for every property is 2**s cells
     return table
-
-
-def dense_probs(world: WorldModel) -> np.ndarray:
-    """The read-only table of all 2**s cells, normalized by its own sum."""
-    weights = _weights(world, range(len(world.universe)))
-    with np.errstate(over="ignore"):
-        total = float(weights.sum())
-    probs = weights / _checked_total(total)
-    probs.setflags(write=False)
-    assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
-    return probs
 
 
 def _weights(world: WorldModel, positions: Sequence[int]) -> np.ndarray:

@@ -18,7 +18,7 @@ count ratios, and it is the only event semantics this package supports.
 Event probabilities are sums of nonnegative terms, never 1 - P(none), so
 a tiny P(F) keeps its digits. Declared degrees are read as marginal
 probabilities; the world model is ground truth, and a disagreement beyond
-1e-6 triggers DegreeMismatchWarning rather than an error.
+1e-6 is reported in the score's `mismatches` rather than raised.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ from .errors import (
 MAX_UNIVERSE = 24
 NORMALIZATION_TOL = 1e-12
 DEGREE_MISMATCH_TOL = 1e-6
-
-
-class DegreeMismatchWarning(UserWarning):
-    """A concept's declared degree disagrees with the world marginal."""
 
 
 def check_property_id(pid: str) -> str:
@@ -130,10 +126,13 @@ class WorldModel:
 
     @cached_property
     def probs(self):
-        """The dense table of 2**s probabilities, a read-only numpy array built on first read."""
+        """The read-only table of all 2**s probabilities, the marginal table of every property, built on first read."""
         from . import lattice
 
-        return lattice.dense_probs(self)
+        probs = lattice.marginal_table(self, range(len(self.universe)))
+        probs.setflags(write=False)
+        assert abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
+        return probs
 
     def _kept(self, groups: Sequence[Sequence[int]]) -> list[float]:
         """P(each pattern of which groups hold): 2**len(groups) cells, bit k set iff some property of group k holds.

@@ -18,14 +18,12 @@ unclamped, next to the exact conditional, so the failure mode is visible.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SubsetTooLarge
 from .model import (  # noqa: F401 -- bench/spans.py traces joint_event_probability here
     Concept,
-    DegreeMismatchWarning,
     WorldModel,
     check_degree,
     degree_mismatches,
@@ -150,6 +148,7 @@ class ShannonInheritance:
     estimate_conditional: float
     prior: float
     discrepancy: float | None
+    mismatches: tuple[str, ...]
 
     @property
     def estimate_exceeds_one(self) -> bool:
@@ -159,14 +158,12 @@ class ShannonInheritance:
 def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInheritance:
     """Score how strongly membership in f predicts membership in w.
 
-    Emits DegreeMismatchWarning for every declared degree that disagrees
-    with the world marginal beyond 1e-6; the world always wins. When
-    P(f) = 0 the exact conditional and the discrepancy are None. Reads the
-    declared degrees' marginals in one pass and one 8-cell joint, however wide the pair.
+    `mismatches` describes every declared degree that disagrees with the
+    world marginal beyond 1e-6; the world always wins. When P(f) = 0 the
+    exact conditional and the discrepancy are None. Reads the declared
+    degrees' marginals in one pass and one 8-cell joint, however wide the pair.
     """
-    joint = pair_joint(f, w, world)  # first, so an unknown property raises before any warning
-    for message in degree_mismatches((f, w), world):
-        warnings.warn(message, DegreeMismatchWarning, stacklevel=2)
+    joint = pair_joint(f, w, world)  # first, so an unknown property raises before any degree is checked
     p_f = min(1.0, joint[2] + joint[3])
     p_w = min(1.0, joint[1] + joint[3])
     mi = _mutual_information(joint)
@@ -178,4 +175,5 @@ def shannon_inheritance(f: Concept, w: Concept, world: WorldModel) -> ShannonInh
         estimate_conditional=estimate,
         prior=p_w,
         discrepancy=None if exact is None else estimate - exact,
+        mismatches=tuple(degree_mismatches((f, w), world)),
     )

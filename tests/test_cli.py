@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from intension.algorithmic import algorithmic_inheritance, get_compressor
 from intension.cli import build_score_report, render_flat_json, run
 from intension.files import load_concepts, load_world
+from intension.model import Concept, build_independent_world
 from intension.shannon import shannon_inheritance
 
 DATA = Path(__file__).parent / "data"
@@ -185,6 +188,42 @@ class TestScoreCommand:
         code, _, err = invoke(capsys, argv)
         assert code == 2
         assert "nope" in err
+
+
+class TestConcurrentScores:
+    def test_threads_on_one_world_keep_their_own_mismatches(self):
+        # four threads score on one world, two a pair with a mismatched degree and two a pair with none, switching
+        # every microsecond: each report must name exactly its own pair's mismatches
+        world = build_independent_world(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4])
+        off = (Concept("f", (("a", 0.5),)), Concept("w", (("b", 0.2),)))
+        on = (Concept("g", (("c", 0.3),)), Concept("v", (("d", 0.4),)))
+        cases = [(off, ["degree-mismatch a: concept 'f' declares 0.5, world marginal is 0.1"]), (on, [])] * 2
+        seen, errors = [[] for _ in cases], []
+        start, deadline = threading.Barrier(len(cases)), time.monotonic() + 5.0
+
+        def score(pair, out):
+            try:
+                start.wait(timeout=10)
+                while len(out) < 1000 and time.monotonic() < deadline:
+                    report, _ = build_score_report(world, *pair)
+                    out.append([w for w in report.warnings if w.startswith("degree-mismatch")])
+            except BaseException as exc:  # reported below: an exception in a thread would not fail the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=score, args=(pair, out)) for (pair, _), out in zip(cases, seen)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for (_, own), out in zip(cases, seen):
+            assert out and [got for got in out if got != own] == []
 
 
 class TestOtherCommands:

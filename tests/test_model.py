@@ -28,7 +28,6 @@ from intension.files import parse_world
 from intension.model import (
     MAX_UNIVERSE,
     Concept,
-    DegreeMismatchWarning,
     WorldModel,
     build_exclusive_world,
     build_independent_world,
@@ -441,6 +440,16 @@ class TestMarginalTable:
             assert got.shape == (1 << len(ids),)
             np.testing.assert_allclose(got, bincount_marginal(world, ids), rtol=1e-12, atol=1e-15)
 
+    @given(
+        st.sampled_from(["dense", "independent", "exclusive", "instances"]),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200)
+    def test_probs_is_the_table_of_every_property_bit_for_bit(self, kind, size, seed):
+        world = world_of_kind(kind, size, seed)
+        assert np.array_equal(world.probs.view(np.int64), world.marginal_table(world.universe).view(np.int64))
+
     def test_structured_worlds_never_build_the_table(self):
         tracemalloc.start()
         try:
@@ -492,9 +501,9 @@ class TestMarginalTable:
         monkeypatch.setattr(WorldModel, "marginal_table", refuse)
         f = Concept("f", (("v0", 0.1), ("v1", 0.2), ("v2", 0.3)))
         w = Concept("w", (("v2", 0.3), ("v5", 0.9)))  # v5 is declared off its marginal
-        with pytest.warns(DegreeMismatchWarning) as caught:
-            shannon_inheritance(f, w, world)
-        assert [str(item.message).split(":")[0] for item in caught] == ["degree-mismatch v5"]
+        scored = shannon_inheritance(f, w, world)
+        assert scored.mismatches == ("degree-mismatch v5: concept 'w' declares 0.9, world marginal is 0.6",)
+        assert scored.prior == pytest.approx(1.0 - 0.7 * 0.4, abs=TOL)  # P(v2 or v5) from the world's 0.3 and 0.6
         report, code = build_score_report(null, f_null, w_null)
         assert (code, report.exact_conditional) == (3, "undefined")
         assert report.shannon_estimate == 0.75 and report.mutual_information_shannon == 0.0

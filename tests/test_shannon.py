@@ -15,7 +15,6 @@ from intension.errors import InvalidDegree, SubsetTooLarge, UnknownProperty
 from intension.lattice import _entropy, _lattice_terms
 from intension.model import (
     Concept,
-    DegreeMismatchWarning,
     build_exclusive_world,
     build_independent_world,
     pair_joint,
@@ -393,13 +392,14 @@ class TestShannonInheritance:
         assert report.estimate_exceeds_one
         assert report.exact_conditional == pytest.approx(1.0, abs=TOL)
 
-    def test_degree_mismatch_warns_and_uses_world(self):
+    def test_degree_mismatch_reported_and_uses_world(self):
         world = build_independent_world(["a", "b"], [0.9, 0.8])
         f = Concept("f", (("a", 0.2),))  # disagrees with the world
         w = concept_at(world, "w", ("b",))
-        with pytest.warns(DegreeMismatchWarning):
-            report = shannon_inheritance(f, w, world)
+        report = shannon_inheritance(f, w, world)
+        assert report.mismatches == ("degree-mismatch a: concept 'f' declares 0.2, world marginal is 0.9",)
         assert report.prior == pytest.approx(0.8, abs=TOL)
+        assert shannon_inheritance(w, f, world).prior == pytest.approx(0.9, abs=TOL)  # f's event reads a's 0.9
 
     @given(worlds_with_concept_pair())
     @settings(max_examples=60)
